@@ -14,8 +14,7 @@ Usage::
 """
 
 from repro import DsmRuntime, RunConfig
-from repro.apps import make_app
-from repro.experiments.runner import parse_label
+from repro.experiments.runner import make_configured_app, parse_label
 
 CONFIGS = ["O", "2T", "4T", "P", "2TP", "4TP"]
 
@@ -24,12 +23,7 @@ def run_grid(app_name: str):
     results = {}
     for label in CONFIGS:
         threads_per_node, prefetch = parse_label(label)
-        app = make_app(app_name, preset="small")
-        app.use_prefetch = prefetch
-        if prefetch and threads_per_node > 1:
-            app.prefetch_dedup = True
-            if app_name == "RADIX":
-                app.throttle_prefetch = True
+        app = make_configured_app(app_name, "small", label)
         config = RunConfig(
             num_nodes=4, threads_per_node=threads_per_node, prefetch=prefetch
         )

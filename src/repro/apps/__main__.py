@@ -16,9 +16,9 @@ import sys
 import time
 
 from repro.api.runtime import DsmRuntime, RunConfig
-from repro.apps.registry import APP_ORDER, make_app
+from repro.apps.registry import APP_ORDER
 from repro.dsm.backend import BACKEND_NAMES
-from repro.experiments.runner import parse_label
+from repro.experiments.runner import make_configured_app, parse_label
 from repro.network.faults import FaultPlan, NodeCrash
 from repro.network.transport import TransportConfig
 from repro.telemetry import TelemetryConfig
@@ -138,12 +138,6 @@ def main(argv: list[str] | None = None) -> int:
         args.telemetry = "-"  # strict grading implies collection
 
     threads_per_node, prefetch = parse_label(args.config)
-    app = make_app(args.app, args.preset)
-    app.use_prefetch = prefetch
-    if prefetch and threads_per_node > 1:
-        app.prefetch_dedup = True
-        if args.app == "RADIX":
-            app.throttle_prefetch = True
 
     def build_config(
         fault_plan=None,
@@ -176,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
     plan = None
     if args.crash is not None:
         baseline = DsmRuntime(build_config()).execute(
-            make_app(args.app, args.preset), verify=False
+            make_configured_app(args.app, args.preset, args.config), verify=False
         )
         crash_at = baseline.wall_time_us * args.crash
         plan = FaultPlan(
@@ -200,7 +194,10 @@ def main(argv: list[str] | None = None) -> int:
 
     started = time.time()
     runtime = DsmRuntime(config)
-    report = runtime.execute(app, verify=not args.no_verify)
+    report = runtime.execute(
+        make_configured_app(args.app, args.preset, args.config),
+        verify=not args.no_verify,
+    )
     elapsed = time.time() - started
 
     verified = "skipped" if args.no_verify else "passed"

@@ -18,9 +18,8 @@ from typing import Optional
 
 from repro.api.runtime import RunConfig
 from repro.apps.registry import APP_ORDER
-from repro.experiments.runner import parse_label
+from repro.experiments.runner import RunSpec, parse_label, run_specs
 from repro.metrics.report import RunReport
-from repro.parallel import RunSpec, run_specs
 from repro.profile import ProfileConfig
 
 __all__ = ["BENCH_SCHEMA", "DEFAULT_CONFIGS", "QUICK_CONFIGS", "run_bench", "bench_filename"]
@@ -103,21 +102,13 @@ def run_bench(
                 protocol=protocol,
                 profile=ProfileConfig(top_n=top_n),
             )
-            specs.append(
-                RunSpec(
-                    index=len(specs),
-                    app_name=app_name,
-                    preset=preset,
-                    label=label,
-                    config=config,
-                    verify=verify,
-                )
-            )
+            specs.append(RunSpec(app_name, preset, label, config, verify))
 
     started = time.time()
 
-    def on_done(spec: RunSpec, report: RunReport) -> None:
+    def on_done(index: int, report: RunReport) -> None:
         if verbose:
+            spec = specs[index]
             print(
                 f"  {spec.app_name:10s} [{spec.label:4s}] "
                 f"wall {report.wall_time_us / 1000:9.2f} ms simulated "

@@ -22,6 +22,7 @@ from repro.bench import (
 )
 from repro.apps.registry import APP_ORDER
 from repro.dsm.backend import BACKEND_NAMES
+from repro.parallel import jobs_arg
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -66,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=jobs_arg,
         default=1,
         metavar="N",
         help="run up to N (app, config) cells in parallel worker processes "
@@ -84,13 +85,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    from repro.parallel import default_jobs
-
-    jobs = default_jobs() if args.jobs == 0 else max(1, args.jobs)
     print(
         f"bench: {len(apps)} app(s) x {len(configs)} config(s) on {nodes} nodes "
         f"({args.preset} preset, seed {args.seed}, {args.protocol} protocol, "
-        f"{jobs} job(s))"
+        f"{args.jobs} job(s))"
     )
     document = run_bench(
         apps,
@@ -100,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         verify=not args.no_verify,
         top_n=args.top_n,
-        jobs=jobs,
+        jobs=args.jobs,
         protocol=args.protocol,
     )
     out_path = args.out or bench_filename()

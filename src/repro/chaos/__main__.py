@@ -19,6 +19,7 @@ import time
 from pathlib import Path
 
 from repro.dsm.backend import BACKEND_NAMES
+from repro.parallel import jobs_arg
 
 from repro.chaos.search import (
     DEFAULT_APPS,
@@ -106,7 +107,10 @@ def main(argv=None) -> int:
         "--budget", type=int, default=50, help="number of fault plans to sample"
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (results identical for any N)"
+        "--jobs",
+        type=jobs_arg,
+        default=1,
+        help="worker processes, 0 = one per CPU core (results identical for any N)",
     )
     parser.add_argument(
         "--apps",

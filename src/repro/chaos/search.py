@@ -21,9 +21,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.api.runtime import DsmRuntime, RunConfig
-from repro.apps import available_apps, make_app
+from repro.apps import available_apps
 from repro.dsm.backend import BACKEND_NAMES
 from repro.errors import ConfigError, ProtocolError, SimulationError
+from repro.experiments.runner import make_configured_app
 from repro.ft import FtConfig
 from repro.network.faults import FaultPlan
 from repro.network.transport import TransportConfig
@@ -222,7 +223,8 @@ def baseline_walls(config: ChaosConfig) -> dict[str, float]:
         run = RunConfig(
             num_nodes=config.num_nodes, seed=config.seed, protocol=config.protocol
         )
-        report = DsmRuntime(run).execute(make_app(app_name, config.preset))
+        app = make_configured_app(app_name, config.preset, "O")
+        report = DsmRuntime(run).execute(app)
         walls[app_name] = report.wall_time_us
     return walls
 
@@ -277,7 +279,7 @@ def _execute(sample: ChaosSample):
         transport=TransportConfig(adaptive=True) if sample.adaptive else TransportConfig(),
     )
     runtime = DsmRuntime(config)
-    app = make_app(sample.app_name, sample.preset)
+    app = make_configured_app(sample.app_name, sample.preset, "O")
     report = runtime.execute(app, verify=False)
     verify_error = None
     try:

@@ -16,6 +16,7 @@ import sys
 import time
 
 from repro.experiments import ALL_EXPERIMENTS, ExperimentRunner
+from repro.parallel import jobs_arg
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -79,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=jobs_arg,
         default=1,
         metavar="N",
         help="fan the run matrix across up to N worker processes "
@@ -126,9 +127,6 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown experiment(s): {unknown}")
 
-    from repro.parallel import default_jobs
-
-    jobs = default_jobs() if args.jobs == 0 else max(1, args.jobs)
     runner = ExperimentRunner(
         num_nodes=args.nodes,
         preset=args.preset,
@@ -140,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
         crash_node=args.crash_node,
         crash_frac=args.crash_at,
         crash_loss=args.crash_loss,
-        jobs=jobs,
+        jobs=args.jobs,
         critpath=args.critpath,
     )
     for experiment_id in wanted:

@@ -44,7 +44,7 @@ from typing import Optional
 from repro.api.runtime import RunConfig
 from repro.apps.registry import APP_ORDER
 from repro.experiments.formatting import render_rows
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ExperimentRunner, RunSpec, run_specs
 from repro.network.faults import FaultPlan, LinkDegradation, LinkPartition
 from repro.network.transport import TransportConfig
 
@@ -112,11 +112,6 @@ def adaptive_matrix(runner: ExperimentRunner, apps: Optional[list[str]] = None):
     configuration (``P``) so the backpressure path — shedding
     speculative traffic under pressure — is actually exercised.
     """
-    # Imported here, not at module scope: repro.parallel itself imports
-    # the experiments package (workers rebuild apps by name), so a
-    # top-level import would be circular in spawned workers.
-    from repro.parallel import RunSpec, run_specs
-
     apps = list(apps or APP_ORDER)
     label = "P"
     # Clean static baselines set each app's time scale for fault onsets.
@@ -138,19 +133,12 @@ def adaptive_matrix(runner: ExperimentRunner, apps: Optional[list[str]] = None):
                     )
                     cells.append((app_name, scenario, adaptive, rep))
                     specs.append(
-                        RunSpec(
-                            index=len(specs),
-                            app_name=app_name,
-                            preset=runner.preset,
-                            label=label,
-                            config=config,
-                            verify=runner.verify,
-                        )
+                        RunSpec(app_name, runner.preset, label, config, runner.verify)
                     )
 
-    def on_done(spec, report) -> None:
+    def on_done(index, report) -> None:
         if runner.verbose:
-            app_name, scenario, adaptive, rep = cells[spec.index]
+            app_name, scenario, adaptive, rep = cells[index]
             arm = "adaptive" if adaptive else "static"
             print(f"  finished {app_name} [{scenario}/{arm}/seed+{rep}]", flush=True)
 

@@ -13,9 +13,9 @@ invariant sweep of the recovery path.
 from __future__ import annotations
 
 from repro.api.runtime import DsmRuntime, RunConfig
-from repro.apps.registry import APP_ORDER, make_app
+from repro.apps.registry import APP_ORDER
 from repro.experiments.formatting import render_rows
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ExperimentRunner, make_configured_app
 from repro.metrics.counters import Category
 from repro.network.faults import FaultPlan, NodeCrash
 
@@ -61,7 +61,7 @@ def crash_matrix(runner: ExperimentRunner):
         if runner.verbose:
             print(f"  running {app_name} [O + crash n{node}@{frac:.0%}] ...", flush=True)
         report = DsmRuntime(config).execute(
-            make_app(app_name, runner.preset), verify=runner.verify
+            make_configured_app(app_name, runner.preset, "O"), verify=runner.verify
         )
         ft = report.extra["ft"]
         times = report.breakdown.times

@@ -16,7 +16,7 @@ backend (see ``repro.dsm.backend``):
 
 Every cell verifies the application's answer: the matrix is only
 meaningful if all three protocols compute the same result.  Runs are
-fanned out with :func:`repro.parallel.run_specs`, so the table is
+fanned out with :func:`repro.experiments.runner.run_specs`, so the table is
 byte-identical for any ``--jobs N``.
 
 The per-protocol activity columns tell the mechanism story: LRC moves
@@ -33,7 +33,7 @@ from repro.api.runtime import RunConfig
 from repro.apps.registry import APP_ORDER
 from repro.dsm.backend import BACKEND_NAMES
 from repro.experiments.formatting import render_rows
-from repro.experiments.runner import ExperimentRunner, parse_label
+from repro.experiments.runner import ExperimentRunner, RunSpec, parse_label, run_specs
 
 __all__ = ["protocol_matrix", "PROTOCOL_ORDER", "PROTOCOL_CONFIGS"]
 
@@ -55,11 +55,6 @@ def protocol_matrix(
     configs: Optional[list[str]] = None,
 ):
     """The full (app x configuration x protocol) comparison matrix."""
-    # Imported here, not at module scope: repro.parallel itself imports
-    # the experiments package (workers rebuild apps by name), so a
-    # top-level import would be circular in spawned workers.
-    from repro.parallel import RunSpec, run_specs
-
     assert set(PROTOCOL_ORDER) == set(BACKEND_NAMES)
     apps = list(apps or APP_ORDER)
     configs = list(configs or PROTOCOL_CONFIGS)
@@ -78,19 +73,12 @@ def protocol_matrix(
                 )
                 cells.append((app_name, label, protocol))
                 specs.append(
-                    RunSpec(
-                        index=len(specs),
-                        app_name=app_name,
-                        preset=runner.preset,
-                        label=label,
-                        config=config,
-                        verify=runner.verify,
-                    )
+                    RunSpec(app_name, runner.preset, label, config, runner.verify)
                 )
 
-    def on_done(spec, report) -> None:
+    def on_done(index, report) -> None:
         if runner.verbose:
-            app_name, label, protocol = cells[spec.index]
+            app_name, label, protocol = cells[index]
             print(
                 f"  finished {app_name} [{label}/{protocol}] "
                 f"wall {report.wall_time_us / 1000:.2f} ms",

@@ -1,20 +1,34 @@
-"""Experiment runner: one place that maps the paper's configuration
-labels (O, P, nT, nTP) onto runtime configurations and caches reports,
-since several figures/tables share the same runs.
+"""Experiment runner: the one place that turns a cell (app, size preset,
+configuration label, :class:`~repro.api.runtime.RunConfig`) into a run.
+
+It maps the paper's configuration labels (O, P, nT, nTP) onto app
+settings and runtime configurations, runs cells serially or fanned out
+across worker processes, and caches reports, since several
+figures/tables share the same runs.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.api.runtime import DsmRuntime, RunConfig
 from repro.apps.registry import APP_ORDER, make_app
 from repro.errors import ConfigError
 from repro.metrics.report import RunReport
+from repro.parallel import fan_out
 from repro.trace import PhaseTimeline, TraceConfig
 
-__all__ = ["CONFIG_LABELS", "ExperimentRunner", "make_configured_app", "parse_label"]
+__all__ = [
+    "CONFIG_LABELS",
+    "ExperimentRunner",
+    "RunSpec",
+    "execute_spec",
+    "make_configured_app",
+    "parse_label",
+    "run_specs",
+]
 
 #: Every configuration Figure 5 uses, in its presentation order.
 CONFIG_LABELS = ["O", "2T", "4T", "8T", "P", "2TP", "4TP", "8TP"]
@@ -36,9 +50,9 @@ def parse_label(label: str) -> tuple[int, bool]:
 def make_configured_app(app_name: str, preset: str, label: str):
     """Build the app instance for one (app, configuration-label) cell.
 
-    One definition shared by the experiment runner, the bench sweep and
-    the parallel workers, so the per-scheme app flags (Section 5.1's
-    combined-scheme optimizations) cannot drift between harnesses.
+    Every harness builds its apps here, so the per-scheme app flags
+    (Section 5.1's combined-scheme optimizations) cannot drift between
+    them.
     """
     threads_per_node, prefetch = parse_label(label)
     app = make_app(app_name, preset)
@@ -49,6 +63,42 @@ def make_configured_app(app_name: str, preset: str, label: str):
         if app_name == "RADIX":
             app.throttle_prefetch = True
     return app
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """Everything a worker needs to execute one run, picklable.
+
+    The app is named, not embedded: app instances hold numpy state and
+    generators that must not cross process boundaries, so the worker
+    rebuilds it with :func:`make_configured_app`.
+    """
+
+    app_name: str
+    preset: str
+    label: str
+    config: RunConfig
+    verify: bool = True
+
+
+def execute_spec(spec: RunSpec) -> RunReport:
+    """Run one spec to completion in the current process."""
+    app = make_configured_app(spec.app_name, spec.preset, spec.label)
+    return DsmRuntime(spec.config).execute(app, verify=spec.verify)
+
+
+def run_specs(
+    specs: list[RunSpec],
+    jobs: int = 1,
+    on_done: Optional[Callable[[int, RunReport], None]] = None,
+) -> list[RunReport]:
+    """Execute every spec; return reports in spec order.
+
+    With ``jobs > 1`` the specs fan out over worker processes (see
+    :func:`repro.parallel.fan_out`); ``on_done(index, report)`` fires in
+    completion order, while the returned list is always in spec order.
+    """
+    return fan_out(specs, execute_spec, jobs=jobs, on_done=on_done)
 
 
 class ExperimentRunner:
@@ -113,13 +163,10 @@ class ExperimentRunner:
             f"{template.stem}.{app_name}-{label}{template.suffix or '.json'}"
         )
 
-    def run(self, app_name: str, label: str) -> RunReport:
-        key = (app_name, label)
-        if key in self._cache:
-            return self._cache[key]
+    def config(self, label: str) -> RunConfig:
+        """The runtime configuration of this runner's cells for ``label``."""
         threads_per_node, prefetch = parse_label(label)
-        app = make_configured_app(app_name, self.preset, label)
-        config = RunConfig(
+        return RunConfig(
             num_nodes=self.num_nodes,
             threads_per_node=threads_per_node,
             prefetch=prefetch,
@@ -128,20 +175,30 @@ class ExperimentRunner:
             profile=bool(self.profile_template),
             critpath=self.critpath,
         )
+
+    def run(self, app_name: str, label: str) -> RunReport:
+        key = (app_name, label)
+        if key in self._cache:
+            return self._cache[key]
+        app = make_configured_app(app_name, self.preset, label)
         if self.verbose:
             print(f"  running {app_name} [{label}] ...", flush=True)
-        runtime = DsmRuntime(config)
+        runtime = DsmRuntime(self.config(label))
         report = runtime.execute(app, verify=self.verify)
         if self.trace_template:
             self._export_trace(runtime, report, app_name, label)
+        self._store(app_name, label, report)
+        return report
+
+    def _store(self, app_name: str, label: str, report: RunReport) -> None:
+        """Cache a finished cell and dump its report if profiling asks to."""
         if self.profile_template and self.profile_template != "-":
             path = self.profile_path(app_name, label)
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(report.to_json(indent=2) + "\n")
             if self.verbose:
                 print(f"    profile report -> {path}", flush=True)
-        self._cache[key] = report
-        return report
+        self._cache[(app_name, label)] = report
 
     def _export_trace(
         self, runtime: DsmRuntime, report: RunReport, app_name: str, label: str
@@ -181,43 +238,18 @@ class ExperimentRunner:
 
     def _prefetch_grid(self, labels: list[str], apps: list[str]) -> None:
         """Fill the cache for every missing (app, label) cell in parallel."""
-        from repro.parallel import RunSpec, run_specs
+        specs = [
+            RunSpec(app_name, self.preset, label, self.config(label), self.verify)
+            for app_name in apps
+            for label in labels
+            if (app_name, label) not in self._cache
+        ]
 
-        specs = []
-        for app_name in apps:
-            for label in labels:
-                if (app_name, label) in self._cache:
-                    continue
-                threads_per_node, prefetch = parse_label(label)
-                config = RunConfig(
-                    num_nodes=self.num_nodes,
-                    threads_per_node=threads_per_node,
-                    prefetch=prefetch,
-                    seed=self.seed,
-                    profile=bool(self.profile_template),
-                    critpath=self.critpath,
-                )
-                specs.append(
-                    RunSpec(
-                        index=len(specs),
-                        app_name=app_name,
-                        preset=self.preset,
-                        label=label,
-                        config=config,
-                        verify=self.verify,
-                    )
-                )
-        if not specs:
-            return
-
-        def on_done(spec, report) -> None:
+        def on_done(index: int, _report: RunReport) -> None:
             if self.verbose:
+                spec = specs[index]
                 print(f"  finished {spec.app_name} [{spec.label}]", flush=True)
 
         reports = run_specs(specs, jobs=self.jobs, on_done=on_done)
         for spec, report in zip(specs, reports):
-            if self.profile_template and self.profile_template != "-":
-                path = self.profile_path(spec.app_name, spec.label)
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(report.to_json(indent=2) + "\n")
-            self._cache[(spec.app_name, spec.label)] = report
+            self._store(spec.app_name, spec.label, report)

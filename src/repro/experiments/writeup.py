@@ -202,7 +202,7 @@ def generate(runner: ExperimentRunner, path: str) -> dict:
         "switch/async-arrival overheads (110 us / 20 us, unscaled) are "
         "large relative to the shortened phases.  The *mechanism* — "
         "latency overlap at the cost of higher per-miss latency — is "
-        "validated directly by benchmarks/bench_mt_mechanism.py "
+        "validated directly by tests/experiments/test_ablations.py "
         "(2 threads cut a pure miss-storm's wall time ~1.5x, 4 threads "
         "~2x), and LU-NCONT reproduces the paper's locality-driven "
         "multithreading gain.\n\n"

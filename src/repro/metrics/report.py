@@ -129,10 +129,6 @@ class RunReport:
             return 0.0
         return baseline.wall_time_us / self.wall_time_us
 
-    @property
-    def avg_miss_latency_us(self) -> float:
-        return self.events.avg_miss_stall
-
     # -- serialization --------------------------------------------------------
 
     def to_dict(self) -> dict:

@@ -142,10 +142,6 @@ class TrafficStats:
         return sum(sum(by_kind.values()) for by_kind in self.injected_by_fault.values())
 
     @property
-    def total_paced(self) -> int:
-        return sum(self.paced_by_kind.values())
-
-    @property
     def total_shed(self) -> int:
         return sum(self.shed_by_kind.values())
 

@@ -61,6 +61,3 @@ class Switch:
             self.dropped += 1
             if self._on_drop is not None:
                 self._on_drop(message)
-
-    def port_queue_bytes(self, port: int) -> int:
-        return self.downlinks[port].queued_bytes

@@ -1,53 +1,28 @@
-"""Fan simulation runs out across CPU cores.
+"""Fan independent work out across CPU cores.
 
 The simulator is single-threaded by construction (one deterministic
 event loop per run), so the way to use a multicore machine is to run
 *different* (app, configuration) cells in separate processes.  This
-module is the one place that knows how:
+module is the one place that knows how; it knows nothing about what a
+cell is (:func:`repro.experiments.runner.run_specs` builds simulation
+runs on top of it, the chaos harness fans out whole search samples).
 
-- a :class:`RunSpec` is the complete, picklable description of one run —
-  app name + size preset + configuration label (the app object itself is
-  rebuilt inside the worker; app instances hold numpy state and
-  generators that must not cross process boundaries) plus the frozen
-  :class:`~repro.api.runtime.RunConfig`;
-- the worker builds the cluster from the spec, executes it, and streams
-  the finished :class:`~repro.metrics.report.RunReport` back as JSON
-  (reports are designed to round-trip; nothing else needs to be
-  picklable);
-- results are reassembled **by spec index**, so the output order is
-  deterministic regardless of completion order, and a ``--jobs N`` sweep
-  is byte-identical to the serial one for every N.
+Results are reassembled **by item index**, so the output order is
+deterministic regardless of completion order, and a ``--jobs N`` sweep
+is identical to the serial one for every N.
 
 Workers are spawn-safe: the ``spawn`` start method is used explicitly
 (fork would duplicate the parent's interpreter state, and is unavailable
 on some platforms anyway), so each worker imports the library fresh and
-shares nothing with the parent but the pickled spec.
+shares nothing with the parent but the pickled item.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import argparse
 import os
-from dataclasses import dataclass
-from typing import Callable, Optional
 
-from repro.api.runtime import DsmRuntime, RunConfig
-from repro.experiments.runner import make_configured_app
-from repro.metrics.report import RunReport
-
-__all__ = ["RunSpec", "default_jobs", "fan_out", "run_specs"]
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """Everything a worker needs to execute one run, picklable."""
-
-    index: int
-    app_name: str
-    preset: str
-    label: str
-    config: RunConfig
-    verify: bool = True
+__all__ = ["default_jobs", "fan_out", "jobs_arg"]
 
 
 def default_jobs() -> int:
@@ -55,15 +30,13 @@ def default_jobs() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def execute_spec(spec: RunSpec) -> RunReport:
-    """Run one spec to completion in the current process."""
-    app = make_configured_app(spec.app_name, spec.preset, spec.label)
-    return DsmRuntime(spec.config).execute(app, verify=spec.verify)
-
-
-def _worker(spec: RunSpec) -> tuple[int, str]:
-    """Pool entry point: returns (index, RunReport JSON)."""
-    return spec.index, execute_spec(spec).to_json()
+def jobs_arg(text: str) -> int:
+    """The argparse ``type`` of every CLI's ``--jobs``: a worker count,
+    with 0 meaning one worker per core.  Negative counts are rejected."""
+    jobs = int(text)
+    if jobs < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 (0 = one per core), got {jobs}")
+    return jobs or default_jobs()
 
 
 def _fan_out_entry(packed):
@@ -75,8 +48,6 @@ def _fan_out_entry(packed):
 def fan_out(items, worker, jobs: int = 1, on_done=None) -> list:
     """Apply ``worker`` to every item; return results in item order.
 
-    The generic sibling of :func:`run_specs` for work that is not a
-    :class:`RunSpec` (the chaos harness fans out whole search samples).
     ``worker`` must be a module-level function and both items and
     results must pickle — with ``jobs > 1`` they cross a spawn-context
     process boundary.  ``on_done(index, result)`` fires in *completion*
@@ -92,6 +63,10 @@ def fan_out(items, worker, jobs: int = 1, on_done=None) -> list:
             if on_done is not None:
                 on_done(index, result)
         return results
+    # Imported only when a pool is needed: the serial path (and every
+    # importer of the library) stays free of multiprocessing's cost.
+    import multiprocessing
+
     packed = [(index, worker, item) for index, item in enumerate(items)]
     context = multiprocessing.get_context("spawn")
     with context.Pool(processes=min(jobs, len(items))) as pool:
@@ -100,37 +75,3 @@ def fan_out(items, worker, jobs: int = 1, on_done=None) -> list:
             if on_done is not None:
                 on_done(index, result)
     return results
-
-
-def run_specs(
-    specs: list[RunSpec],
-    jobs: int = 1,
-    on_done: Optional[Callable[[RunSpec, RunReport], None]] = None,
-) -> list[RunReport]:
-    """Execute every spec; return reports in spec-index order.
-
-    With ``jobs <= 1`` runs serially in-process (no pickling, cheapest
-    for a single core).  With more, fans out over a spawn-context
-    process pool; ``on_done`` fires in *completion* order (progress
-    reporting), while the returned list is always in spec order.
-    """
-    if sorted(spec.index for spec in specs) != list(range(len(specs))):
-        raise ValueError("spec indices must be exactly 0..N-1")
-    results: list[Optional[RunReport]] = [None] * len(specs)
-    if jobs <= 1 or len(specs) <= 1:
-        for spec in specs:
-            report = execute_spec(spec)
-            results[spec.index] = report
-            if on_done is not None:
-                on_done(spec, report)
-        return results  # type: ignore[return-value]
-
-    by_index = {spec.index: spec for spec in specs}
-    context = multiprocessing.get_context("spawn")
-    with context.Pool(processes=min(jobs, len(specs))) as pool:
-        for index, payload in pool.imap_unordered(_worker, specs):
-            report = RunReport.from_json(payload)
-            results[index] = report
-            if on_done is not None:
-                on_done(by_index[index], report)
-    return results  # type: ignore[return-value]

@@ -11,8 +11,8 @@ This module implements that alternative as an extension:
 :class:`HistoryPrefetcher` records, per synchronization object, the
 pages faulted on after each acquire/barrier, and on the next completion
 of the same synchronization replays them through the ordinary
-non-binding prefetch engine.  The ablation benchmark
-(``benchmarks/bench_history_prefetch.py``) compares it against the
+non-binding prefetch engine.  The ablation test
+(``tests/experiments/test_ablations.py``) compares it against the
 paper's explicit insertion, reproducing the paper's argument that
 explicit insertion prefetches "more intelligently and more
 aggressively".

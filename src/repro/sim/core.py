@@ -354,13 +354,6 @@ class Simulator:
     def _unregister_process(self, handle: int) -> None:
         self._processes.pop(handle, None)
 
-    def live_processes(self, group: Optional[str] = None) -> list:
-        """Live processes, optionally restricted to one spawn group."""
-        procs = list(self._processes.values())
-        if group is None:
-            return procs
-        return [p for p in procs if p.group == group]
-
     def cancel_group(self, group: str) -> int:
         """Cancel every live process in ``group``; returns the count."""
         return self.cancel_groups((group,))

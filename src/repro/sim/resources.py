@@ -47,10 +47,6 @@ class Resource:
     def in_use(self) -> int:
         return self._in_use
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
     def acquire(self, priority: int = 0) -> Event:
         event = Event(self.sim, name=self._acquire_name)
         event._requested_at = self.sim.now  # type: ignore[attr-defined]

@@ -63,10 +63,6 @@ class DsmThread:
         self.total_blocks = 0
 
     @property
-    def is_done(self) -> bool:
-        return self.state is ThreadState.DONE
-
-    @property
     def is_ready(self) -> bool:
         return self.state is ThreadState.READY
 

@@ -150,14 +150,12 @@ def test_analysis_is_deterministic_across_reruns():
 
 
 def test_parallel_workers_carry_the_section_identically():
-    """--jobs N ships reports through JSON; the section must survive
-    bit-for-bit (floats included)."""
-    from repro.parallel import RunSpec, run_specs
+    """--jobs N ships reports across a process boundary; the section
+    must survive bit-for-bit (floats included)."""
+    from repro.experiments.runner import RunSpec, run_specs
 
     config = RunConfig(num_nodes=4, critpath=True)
-    spec = RunSpec(
-        index=0, app_name="SOR", preset="small", label="O", config=config, verify=True
-    )
+    spec = RunSpec(app_name="SOR", preset="small", label="O", config=config, verify=True)
     (shipped,) = run_specs([spec], jobs=2)
     _, local = run_once()
     assert json.dumps(shipped.critpath, sort_keys=True) == json.dumps(

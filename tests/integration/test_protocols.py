@@ -6,7 +6,7 @@ sanitizer checking each backend's invariants at every transition and
 the network dropping 5% of datagrams (the reliable transport must
 recover them for any protocol, not just the one it grew up with).
 
-The 8 x 3 matrix fans out through ``repro.parallel`` (one test per
+The 8 x 3 matrix fans out through ``run_specs`` (one test per
 protocol), so the suite pays ~one application's wall clock per
 protocol instead of eight.
 """
@@ -17,7 +17,7 @@ from repro.api.runtime import RunConfig
 from repro.apps.registry import APP_ORDER
 from repro.dsm.backend import BACKEND_NAMES
 from repro.network.faults import FaultPlan
-from repro.parallel import RunSpec, run_specs
+from repro.experiments.runner import RunSpec, run_specs
 
 NODES = 4
 DROP_PROB = 0.05
@@ -34,14 +34,13 @@ def test_all_apps_verify_under_loss(protocol):
     )
     specs = [
         RunSpec(
-            index=i,
             app_name=app_name,
             preset="small",
             label="O",
             config=config,
             verify=True,
         )
-        for i, app_name in enumerate(APP_ORDER)
+        for app_name in APP_ORDER
     ]
     reports = run_specs(specs, jobs=4)
     assert len(reports) == len(APP_ORDER)

@@ -16,7 +16,7 @@ from repro.apps import Sor
 from repro.errors import ConfigError
 from repro.metrics.report import RunReport
 from repro.network import FaultPlan, TransportConfig
-from repro.parallel import RunSpec, run_specs
+from repro.experiments.runner import RunSpec, run_specs
 from repro.telemetry import (
     DELTA_METRICS,
     GAUGE_METRICS,
@@ -174,10 +174,9 @@ def test_adaptive_run_records_peer_series():
 
 
 def test_section_rides_jobs_boundary_bit_for_bit():
-    """--jobs N: the telemetry section crosses the worker JSON boundary
+    """--jobs N: the telemetry section crosses the worker process boundary
     unchanged, so fanned-out sweeps equal serial ones byte-for-byte."""
     spec = RunSpec(
-        index=0,
         app_name="SOR",
         preset="small",
         label="O",
@@ -185,10 +184,7 @@ def test_section_rides_jobs_boundary_bit_for_bit():
             num_nodes=2, threads_per_node=1, telemetry=TelemetryConfig(interval_us=2000.0)
         ),
     )
-    specs = [
-        spec,
-        RunSpec(**{**vars(spec), "index": 1}),
-    ]
+    specs = [spec, spec]
     serial = run_specs(specs, jobs=1)
     fanned = run_specs(specs, jobs=2)
     assert [r.to_json() for r in fanned] == [r.to_json() for r in serial]

@@ -1,22 +1,28 @@
 """The parallel fan-out: spawn-safe workers, deterministic ordering."""
 
+import argparse
+
 import pytest
 
 from repro.api.runtime import RunConfig
-from repro.experiments.runner import ExperimentRunner
-from repro.parallel import RunSpec, default_jobs, execute_spec, run_specs
+from repro.bench.__main__ import main as bench_main
+from repro.chaos.__main__ import main as chaos_main
+from repro.experiments.__main__ import main as experiments_main
+from repro.experiments.runner import ExperimentRunner, RunSpec, execute_spec, run_specs
+from repro.parallel import default_jobs, jobs_arg
 
 
 def make_specs(labels=("O", "P")):
     return [
         RunSpec(
-            index=i,
             app_name="SOR",
             preset="small",
             label=label,
-            config=RunConfig(num_nodes=2, threads_per_node=1, prefetch=(label == "P"), seed=42),
+            config=RunConfig(
+                num_nodes=2, threads_per_node=1, prefetch=(label == "P"), seed=42
+            ),
         )
-        for i, label in enumerate(labels)
+        for label in labels
     ]
 
 
@@ -24,19 +30,31 @@ def test_default_jobs_is_at_least_one():
     assert default_jobs() >= 1
 
 
-def test_spec_indices_must_be_dense():
-    specs = make_specs()
-    bad = [RunSpec(index=5, **{f: getattr(specs[0], f) for f in
-                               ("app_name", "preset", "label", "config", "verify")})]
-    with pytest.raises(ValueError):
-        run_specs(bad, jobs=1)
+def test_jobs_flag_rule_is_shared_by_every_cli(tmp_path, capsys):
+    assert jobs_arg("3") == 3
+    assert jobs_arg("0") == default_jobs()
+    with pytest.raises(argparse.ArgumentTypeError):
+        jobs_arg("-3")
+    for main, argv in (
+        (bench_main, []),
+        (experiments_main, ["fig1"]),
+        (chaos_main, []),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--jobs", "-3"])
+        assert exc.value.code == 2
+        assert "--jobs: must be >= 0" in capsys.readouterr().err
+    # 0 = one worker per core on the chaos CLI too (a one-sample search
+    # never opens a pool, so this stays cheap).
+    argv = ["--seed", "2026", "--budget", "1", "--apps", "SOR", "--jobs", "0"]
+    assert chaos_main(argv + ["--out", str(tmp_path)]) == 0
 
 
 def test_serial_path_reports_in_spec_order():
     specs = make_specs()
     done = []
-    reports = run_specs(specs, jobs=1, on_done=lambda spec, _r: done.append(spec.label))
-    assert done == ["O", "P"]
+    reports = run_specs(specs, jobs=1, on_done=lambda index, _r: done.append(index))
+    assert done == [0, 1]
     assert [r.config_label for r in reports] == ["O", "P"]
     assert all(r.app_name == "SOR" for r in reports)
 
