@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.api.program import Program
 from repro.api.shared import SharedMatrix, SharedVector
-from repro.dsm.backend import BACKEND_NAMES
+from repro.dsm.backend import BACKEND_NAMES, make_backend
 from repro.dsm.protocol import DsmNode
 from repro.errors import ConfigError
 from repro.ft import FtConfig, FtManager, ProtocolSanitizer
@@ -206,7 +206,7 @@ class DsmRuntime:
         )
         self.space = SharedAddressSpace(config.page_size)
         self.dsm_nodes: list[DsmNode] = [
-            DsmNode(node, config.num_nodes, protocol=config.protocol)
+            make_backend(config.protocol, node, config.num_nodes)
             for node in self.cluster.nodes
         ]
         self.prefetch_engines: list[PrefetchEngine] = []
@@ -410,9 +410,9 @@ class DsmRuntime:
 
         How the value is reconstructed is protocol-specific (LRC replays
         the cluster-wide diff history; SC reads the owner's copy), so
-        the work is delegated to the coherence backend.
+        the work is delegated to the protocol's DSM object.
         """
-        return self.dsm_nodes[0].backend.global_page(self, page_id)
+        return self.dsm_nodes[0].global_page(self, page_id)
 
     def read_global(self, addr: int, nbytes: int, dtype: np.dtype = np.uint8) -> np.ndarray:
         """Authoritative bytes for a region (for verifiers)."""

@@ -1,11 +1,16 @@
-"""Home-based lazy release consistency backend (``hlrc``).
+"""Home-based lazy release consistency (``hlrc``).
 
 The HLRC refinement of TreadMarks-style LRC (Zhou/Iftode/Li; see
 PAPERS.md): every page gets a deterministic *home* node
-(``page_id % num_nodes``).  The synchronization plane — vector clocks,
-intervals, write notices piggybacked on locks and barriers — is
-inherited from :class:`~repro.dsm.protocol.LrcBackend` unchanged.  Only
-the data plane differs:
+(``page_id % num_nodes``).  :class:`HlrcBackend` subclasses
+:class:`~repro.dsm.protocol.LrcBackend`, which subclasses the per-node
+:class:`~repro.dsm.protocol.DsmNode`.  The synchronization plane —
+vector clocks, intervals, write notices piggybacked on locks and
+barriers — is inherited from LRC unchanged, and the page-fault envelope
+(request combining, fault counts, trace span, profile records, CPU
+charges) from ``DsmNode.ensure_valid``.  Only the data plane differs,
+so this module supplies only the release-side flush, the home's serve
+path and the fetch loop:
 
 - **Releases flush home.**  Closing an interval eagerly creates the
   diff of every page it dirtied and sends each to its page's home
@@ -39,7 +44,7 @@ LRC flush would have put it.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 import numpy as np
 
@@ -62,8 +67,8 @@ class HlrcBackend(LrcBackend):
     #: in diffs.  (The prefetch engine falls back to page-mode.)
     supports_diff_prefetch = False
 
-    def __init__(self, host) -> None:
-        super().__init__(host)
+    def __init__(self, node, num_nodes: int) -> None:
+        super().__init__(node, num_nodes)
         #: Home side: fetches waiting for coverage, per hosted page.
         #: Remote entries are ``(needed, requester, request_id)``;
         #: local ones (the home faulting on its own page) ``(needed,
@@ -362,21 +367,10 @@ class HlrcBackend(LrcBackend):
 
     # -- fault / fetch path ------------------------------------------------
 
-    def _fetch(self, page_id: int, done: Event) -> Generator:
-        """The fault handler: one whole-page round trip to the home."""
-        self.host.faults += 1
-        costs = self.node.costs
+    def _make_valid(self, page_id: int, for_write: bool, done: Event) -> Generator:
+        """One whole-page round trip to the home per iteration."""
         tr = self.sim.trace
         pf = self.sim.profile
-        fault_started = self.sim.now
-        if pf.enabled:
-            pf.entity_add("page", page_id, "faults")
-        fault_id = f"n{self.node_id}:f{self.host.faults}"
-        if tr.enabled:
-            tr.async_begin(
-                self.sim.now, "protocol", "page_fault", self.node_id, fault_id, page=page_id
-            )
-        yield from self.node.occupy(costs.fault_handler, Category.DSM)
         state = self.coherence(page_id)
         home = self.home_of(page_id)
         guard = 0
@@ -437,25 +431,7 @@ class HlrcBackend(LrcBackend):
             yield from self.send(out)
             data, covers, lamport = yield reply
             yield from self._install_page(page_id, data, covers, lamport)
-        yield from self.node.occupy(costs.page_validate, Category.DSM)
-        if self.prefetch is not None:
-            self.prefetch.on_page_validated(page_id)
-        if tr.enabled:
-            tr.async_end(
-                self.sim.now,
-                "protocol",
-                "page_fault",
-                self.node_id,
-                fault_id,
-                remote=bool(getattr(done, "needed_remote", False)),
-            )
-        if pf.enabled:
-            service = self.sim.now - fault_started
-            pf.observe(self.node_id, "page_fault_us", service)
-            pf.entity_add("page", page_id, "stall_us", service)
-            if getattr(done, "needed_remote", False):
-                pf.entity_add("page", page_id, "remote_faults")
-        done.succeed(None)
+        return False
 
     def _install_page(
         self, page_id: int, data: np.ndarray, covers: tuple, lamport: int
@@ -508,19 +484,19 @@ class HlrcBackend(LrcBackend):
 
     # -- checkpoint / recovery ---------------------------------------------
 
-    def snapshot_state(self) -> dict:
+    def _snapshot_protocol(self) -> dict:
         """LRC layout plus the per-page flush watermarks: the
         ack-blocking release guarantees no update is in flight at a
         barrier cut, and a cut cannot have parked fetches (every thread
         is blocked at the barrier)."""
         if self._parked or self._parked_local:
             raise ProtocolError("hlrc home has parked fetches at a checkpoint cut")
-        snap = super().snapshot_state()
+        snap = super()._snapshot_protocol()
         snap["flushed_upto"] = dict(self._flushed_upto)
         return snap
 
-    def restore_state(self, snap: dict) -> None:
-        super().restore_state(snap)
+    def _restore_protocol(self, snap: dict) -> None:
+        super()._restore_protocol(snap)
         self._parked.clear()
         self._parked_local.clear()
         self._flushed_upto = dict(snap.get("flushed_upto", {}))

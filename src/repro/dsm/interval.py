@@ -73,17 +73,6 @@ class DiffStore:
         self.total_flushes = snap["flushes"]
         self.total_diff_bytes = snap["bytes"]
 
-    def garbage_collect_before(self, page_id: int, interval_idx: int) -> int:
-        """Drop diffs every node already has; returns bytes reclaimed."""
-        diffs = self._by_page.get(page_id)
-        if not diffs:
-            return 0
-        keep = [d for d in diffs if d.covers_through > interval_idx]
-        reclaimed = sum(d.diff.size_bytes for d in diffs) - sum(d.diff.size_bytes for d in keep)
-        self._by_page[page_id] = keep
-        self.total_diff_bytes -= reclaimed
-        return reclaimed
-
 
 class IntervalManager:
     """Tracks the node's current interval and its dirty-page set."""

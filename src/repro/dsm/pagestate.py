@@ -14,8 +14,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.sim import Event
-
 __all__ = ["PageCoherence"]
 
 
@@ -46,9 +44,6 @@ class PageCoherence:
         if self.byte_lamports is None:
             self.byte_lamports = np.zeros(page_size, dtype=np.int64)
         return self.byte_lamports
-    #: In-flight fault/fetch completion event (shared by all local
-    #: threads faulting on the page — request combining).
-    fetch_event: Optional[Event] = None
 
     def __post_init__(self) -> None:
         if not self.applied_upto:
@@ -59,10 +54,6 @@ class PageCoherence:
     @property
     def valid(self) -> bool:
         return all(a >= n for a, n in zip(self.applied_upto, self.needed_upto))
-
-    @property
-    def fetch_in_flight(self) -> bool:
-        return self.fetch_event is not None and not self.fetch_event.triggered
 
     def stale_writers(self) -> list[int]:
         """Writers whose modifications are still missing locally."""
@@ -86,9 +77,7 @@ class PageCoherence:
     # -- checkpoint / recovery -------------------------------------------
 
     def snapshot_state(self) -> dict:
-        """Deep-copied coherence metadata (``fetch_event`` excluded: no
-        fetch can be in flight at a consistent cut, and events cannot
-        cross a rollback)."""
+        """Deep-copied coherence metadata."""
         return {
             "applied_upto": list(self.applied_upto),
             "needed_upto": list(self.needed_upto),

@@ -1,11 +1,13 @@
 """The per-node DSM protocol engine.
 
-``DsmNode`` is the protocol *host* for one node: it owns what every
-coherence protocol shares — the lock and barrier subsystems, the
-prefetch/FT hooks, message dispatch, and the fault counters — and
-delegates everything protocol-specific to a
-:class:`~repro.dsm.backend.CoherenceBackend` strategy selected by
-``RunConfig.protocol`` (``lrc`` / ``hlrc`` / ``sc``).
+``DsmNode`` is one node's DSM object.  It is abstract: each coherence
+protocol is a subclass, and :func:`repro.dsm.backend.make_backend`
+builds the one ``RunConfig.protocol`` names (``lrc`` / ``hlrc`` /
+``sc``).  The base class owns what every protocol shares — the lock
+and barrier subsystems, the prefetch/FT hooks, message dispatch, the
+fault counters, the shared part of checkpoint snapshot/restore, and the
+page-fault envelope around every protocol's fetch (see
+:meth:`DsmNode.ensure_valid`).
 
 :class:`LrcBackend`, defined here, is the default: TreadMarks-style
 lazy release consistency with vector clocks, intervals, write notices,
@@ -28,7 +30,6 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 import numpy as np
 
-from repro.dsm.backend import CoherenceBackend, make_backend
 from repro.dsm.barriers import BarrierSubsystem
 from repro.dsm.interval import DiffStore, IntervalManager, StoredDiff
 from repro.dsm.locks import LockSubsystem
@@ -49,9 +50,36 @@ __all__ = ["DsmNode", "LrcBackend"]
 
 
 class DsmNode:
-    """The DSM protocol host for one node."""
+    """One node's DSM protocol engine; subclassed once per protocol.
 
-    def __init__(self, node: Node, num_nodes: int, protocol: str = "lrc") -> None:
+    Subclasses supply the protocol state and the narrow surface the
+    thread scheduler, the synchronization subsystems and the verifier
+    rely on.  All generator-returning methods run in simulation context
+    and may charge CPU, send messages and wait on events.
+
+    Every subclass — even SC, which needs none of them — exposes ``vc``,
+    ``wn_log``, ``diff_store`` and ``intervals`` attributes, because the
+    shared lock/barrier subsystems piggyback vector-clock snapshots and
+    write-notice sets on their messages (SC keeps inert instances).
+    """
+
+    #: The registry key, also recorded in reports and checkpoints.
+    name = "?"
+    #: Whether the diff-based prefetch protocol (PREFETCH_REQUEST /
+    #: PREFETCH_REPLY carrying diffs) applies.  Protocols without diff
+    #: servers get early-binding prefetch instead: the engine starts
+    #: the protocol's own fetch ahead of the access.
+    supports_diff_prefetch = False
+    #: Whether the profile counts faults taken for a store apart, as the
+    #: per-page ``write_faults`` column.
+    counts_write_faults = False
+
+    vc: VectorClock
+    intervals: IntervalManager
+    wn_log: WriteNoticeLog
+    diff_store: DiffStore
+
+    def __init__(self, node: Node, num_nodes: int) -> None:
         self.node = node
         self.sim = node.sim
         self.node_id = node.node_id
@@ -62,47 +90,18 @@ class DsmNode:
         #: receives heartbeat/membership messages and barrier-epoch
         #: checkpoint opportunities.
         self.ft = None
-        # statistics (host-owned: monotone across rollbacks, and the
-        # fault counter names trace correlation ids).
+        # statistics (monotone across rollbacks, and the fault counter
+        # names trace correlation ids).
         self.faults = 0
         self.diff_requests_served = 0
-        self.backend: CoherenceBackend = make_backend(protocol, self)
+        #: The in-flight fault per page, shared by every local thread
+        #: that faults on the page (request combining).
+        self._fault_events: dict[int, Event] = {}
         self.locks = LockSubsystem(self)
         self.barriers = BarrierSubsystem(self)
         node.set_message_handler(self.dispatch)
 
-    @property
-    def protocol(self) -> str:
-        return self.backend.name
-
-    # -- protocol-state views (backend-owned; SC serves inert instances) ----
-
-    @property
-    def vc(self) -> VectorClock:
-        return self.backend.vc
-
-    @property
-    def intervals(self) -> IntervalManager:
-        return self.backend.intervals
-
-    @property
-    def wn_log(self) -> WriteNoticeLog:
-        return self.backend.wn_log
-
-    @property
-    def diff_store(self) -> DiffStore:
-        return self.backend.diff_store
-
-    # -- small helpers -----------------------------------------------------
-
-    def coherence(self, page_id: int) -> PageCoherence:
-        return self.backend.coherence(page_id)
-
-    def page_valid(self, page_id: int) -> bool:
-        return self.backend.page_valid(page_id)
-
-    def page_writable(self, page_id: int) -> bool:
-        return self.backend.page_writable(page_id)
+    # -- shared helpers ----------------------------------------------------
 
     def send(self, message: Message):
         """Generator: charge the send cost and inject the message."""
@@ -130,38 +129,135 @@ class DsmNode:
                 **entity,
             )
 
-    # ``occupy_dsm`` is used heavily by the subsystems.
-    def _occupy_dsm(self, duration: float):
-        yield from self.node.occupy(duration, Category.DSM)
+    def occupy_dsm(self, duration: float):
+        """Generator: charge ``duration`` of DSM-protocol CPU time."""
+        return self.node.occupy(duration, Category.DSM)
 
-    # -- delegated protocol surface ----------------------------------------
+    # -- page access (scheduler-facing) ------------------------------------
 
-    def close_interval_charged(self) -> Generator:
-        """The release action (protocol-specific)."""
-        return self.backend.close_interval_charged()
+    def coherence(self, page_id: int) -> PageCoherence:
+        raise NotImplementedError
 
-    def apply_notices_charged(
-        self, notices: list[WriteNotice], advance_vc: bool = True
-    ) -> Generator:
-        """The acquire action (protocol-specific)."""
-        return self.backend.apply_notices_charged(notices, advance_vc)
+    def page_valid(self, page_id: int) -> bool:
+        raise NotImplementedError
+
+    def page_writable(self, page_id: int) -> bool:
+        """Whether a store may land on the page right now, with no
+        further protocol action and no yields."""
+        raise NotImplementedError
 
     def op_write_touch(self, page_id: int) -> Generator:
-        return self.backend.op_write_touch(page_id)
+        """Per-page bookkeeping for a store to a valid page."""
+        raise NotImplementedError
+
+    # -- the page-fault envelope -------------------------------------------
 
     def ensure_valid(self, page_id: int, for_write: bool = False) -> Optional[Event]:
-        return self.backend.ensure_valid(page_id, for_write)
+        """None if the page is usable now, else the page's fault event.
+
+        The one entry for every fault: the thread scheduler and the
+        prefetch engine both fault pages in through this method, and no
+        protocol overrides it (the host-time benchmark counts its calls
+        as ``dsm.ensure_valid_calls``).  All local threads faulting on
+        the same page share one event (request combining for remote
+        memory accesses).  ``for_write`` requests write access where
+        the protocol distinguishes it (SC needs exclusive ownership
+        before a store; the LRC family ignores the flag — any valid page
+        is writable after :meth:`op_write_touch`).
+        """
+        if self._page_ready(page_id, for_write):
+            return None
+        if self.fault_in_flight(page_id):
+            # A concurrent read fault may complete with a read-only page
+            # while a writer needs more: the waiter re-checks on wake and
+            # re-faults (scheduler guard loop).
+            return self._fault_events[page_id]
+        done = Event(self.sim, name=f"fetch(p{page_id})@{self.node_id}")
+        self._fault_events[page_id] = done
+        spawn(
+            self.sim,
+            self._fault(page_id, for_write, done),
+            name=f"fetch[{self.node_id}]",
+            group=f"node{self.node_id}",
+        )
+        return done
+
+    def fault_in_flight(self, page_id: int) -> bool:
+        """Whether a fault on the page is being handled right now."""
+        event = self._fault_events.get(page_id)
+        return event is not None and not event.triggered
+
+    def _fault(self, page_id: int, for_write: bool, done: Event) -> Generator:
+        """The fault handler: everything around the protocol's fetch.
+
+        Counts the fault, brackets it with the ``fault_handler`` and
+        ``page_validate`` charges, the ``page_fault`` trace span and the
+        profile's per-page fault records, notifies the prefetch engine,
+        and fires ``done``.  The protocol's :meth:`_make_valid` supplies
+        only the loop that makes the page valid; it sets
+        ``done.needed_remote`` when the fault left the node.
+        """
+        self.faults += 1
+        costs = self.node.costs
+        tr = self.sim.trace
+        pf = self.sim.profile
+        fault_started = self.sim.now
+        if pf.enabled:
+            pf.entity_add("page", page_id, "faults")
+            if for_write and self.counts_write_faults:
+                pf.entity_add("page", page_id, "write_faults")
+        fault_id = f"n{self.node_id}:f{self.faults}"
+        if tr.enabled:
+            tr.async_begin(
+                self.sim.now, "protocol", "page_fault", self.node_id, fault_id, page=page_id
+            )
+        yield from self.node.occupy(costs.fault_handler, Category.DSM)
+        prefetch_hit = yield from self._make_valid(page_id, for_write, done)
+        yield from self.node.occupy(costs.page_validate, Category.DSM)
+        if self.prefetch is not None:
+            if prefetch_hit:
+                self.prefetch.count_hit(page_id)
+            self.prefetch.on_page_validated(page_id)
+        remote = bool(getattr(done, "needed_remote", False))
+        if tr.enabled:
+            tr.async_end(
+                self.sim.now, "protocol", "page_fault", self.node_id, fault_id, remote=remote
+            )
+        if pf.enabled:
+            service = self.sim.now - fault_started
+            pf.observe(self.node_id, "page_fault_us", service)
+            pf.entity_add("page", page_id, "stall_us", service)
+            if remote:
+                pf.entity_add("page", page_id, "remote_faults")
+        done.succeed(None)
+
+    def _page_ready(self, page_id: int, for_write: bool) -> bool:
+        """Whether the access needs no fault."""
+        raise NotImplementedError
+
+    def _make_valid(self, page_id: int, for_write: bool, done: Event) -> Generator:
+        """The protocol's fetch loop: run until the page is valid.
+
+        Returns True when the prefetch cache alone made the page valid
+        (a prefetch hit), else False.
+        """
+        raise NotImplementedError
+
+    # -- consistency actions (lock/barrier-facing) -------------------------
+
+    def close_interval_charged(self) -> Generator:
+        """The release action (lock release, barrier arrival)."""
+        raise NotImplementedError
+
+    def apply_notices_charged(self, notices: list, advance_vc: bool = True) -> Generator:
+        """The acquire action: merge received write notices."""
+        raise NotImplementedError
 
     def flush_page_if_dirty(self, page_id: int) -> Generator:
-        return self.backend.flush_page_if_dirty(page_id)
-
-    def apply_stored_diffs(self, page_id: int, stored: list[StoredDiff]) -> Generator:
-        return self.backend.apply_stored_diffs(page_id, stored)
-
-    def reply_notices(
-        self, page_id: int, t_have: int, requester_vc: Optional[tuple[int, ...]] = None
-    ) -> list[WriteNotice]:
-        return self.backend.reply_notices(page_id, t_have, requester_vc)
+        """Make a locally dirty page servable (LRC diff creation); a
+        no-protocol-action default for protocols without diff servers."""
+        return
+        yield  # pragma: no cover
 
     # -- dispatch -------------------------------------------------------------------
 
@@ -192,7 +288,12 @@ class DsmNode:
             yield from self.prefetch.dispatch(msg)
         else:
             # Coherence-protocol kinds (diff/page/invalidate traffic).
-            yield from self.backend.handle_message(msg)
+            yield from self.handle_message(msg)
+
+    def handle_message(self, msg: Message) -> Generator:
+        """Handle a coherence-protocol message :meth:`dispatch` did not route."""
+        raise ProtocolError(f"unhandled message kind {msg.kind}")
+        yield  # pragma: no cover
 
     # -- checkpoint / recovery ------------------------------------------------
 
@@ -202,12 +303,16 @@ class DsmNode:
         Taken at a barrier cut (all threads cluster-wide blocked at the
         barrier), so no fetch, flush, or coherence transaction can be in
         flight; per-request bookkeeping is therefore not part of the
-        snapshot and is simply cleared on restore.  The backend
-        contributes the protocol-specific part; the host adds what every
-        protocol shares.  No mutable structure is shared with live state.
+        snapshot and is simply cleared on restore.  The protocol's
+        :meth:`_snapshot_protocol` contributes its own part (including a
+        ``"vc"`` snapshot: the FT manager reports rollback vector clocks
+        for every protocol); this adds what every protocol shares.  No
+        mutable structure is shared with live state
+        (tests/dsm/test_snapshot_aliasing.py drives this against every
+        protocol).
         """
-        snap = self.backend.snapshot_state()
-        snap["protocol"] = self.backend.name
+        snap = self._snapshot_protocol()
+        snap["protocol"] = self.name
         snap["locks"] = self.locks.snapshot_state()
         snap["barriers"] = self.barriers.snapshot_state()
         snap["pages"] = self.node.pages.snapshot_all()
@@ -215,27 +320,41 @@ class DsmNode:
 
     def restore_state(self, snap: dict) -> None:
         """Rewind to a :meth:`snapshot_state` cut (coordinated rollback)."""
-        self.backend.restore_state(snap)
+        self._restore_protocol(snap)
         self.locks.restore_state(snap["locks"])
         self.barriers.restore_state(snap["barriers"])
         self.node.pages.restore_all(snap["pages"])
+        # Any in-flight fault belongs to the discarded execution.
+        self._fault_events.clear()
         # Counting stats (faults, requests served) are deliberately NOT
         # rolled back: redone work is real work, and monotone counters
         # keep trace correlation ids unique across the rollback.
 
-    # Convenience alias used by the lock/barrier subsystems.
-    def occupy_dsm(self, duration: float):
-        return self.node.occupy(duration, Category.DSM)
+    def _snapshot_protocol(self) -> dict:
+        raise NotImplementedError
+
+    def _restore_protocol(self, snap: dict) -> None:
+        raise NotImplementedError
+
+    # -- verification ---------------------------------------------------------
+
+    def global_page(self, runtime, page_id: int) -> np.ndarray:
+        """The authoritative final contents of a page (verifier path).
+
+        Called on node 0; may inspect every node through
+        ``runtime.dsm_nodes``.
+        """
+        raise NotImplementedError
 
 
-class LrcBackend(CoherenceBackend):
-    """TreadMarks-style lazy release consistency (the default backend)."""
+class LrcBackend(DsmNode):
+    """TreadMarks-style lazy release consistency (the default protocol)."""
 
     name = "lrc"
     supports_diff_prefetch = True
 
-    def __init__(self, host: DsmNode) -> None:
-        super().__init__(host)
+    def __init__(self, node: Node, num_nodes: int) -> None:
+        super().__init__(node, num_nodes)
         self.vc = VectorClock(self.num_nodes, owner=self.node_id)
         self.intervals = IntervalManager(owner=self.node_id)
         self.wn_log = WriteNoticeLog(self.num_nodes)
@@ -384,44 +503,15 @@ class LrcBackend(CoherenceBackend):
 
     # -- fault / fetch path ------------------------------------------------------
 
-    def ensure_valid(self, page_id: int, for_write: bool = False) -> Optional[Event]:
-        """Return None if the page is usable now, else a fetch event.
+    def _page_ready(self, page_id: int, for_write: bool) -> bool:
+        # ``for_write`` is ignored: under LRC any valid page accepts
+        # stores once :meth:`op_write_touch` has made a twin.
+        return self.coherence(page_id).valid
 
-        All local threads faulting on the same page share one event
-        (request combining for remote memory accesses).  ``for_write``
-        is ignored: under LRC any valid page accepts stores once
-        :meth:`op_write_touch` has made a twin.
-        """
-        state = self.coherence(page_id)
-        if state.valid:
-            return None
-        if state.fetch_in_flight:
-            return state.fetch_event
-        fetch_done = Event(self.sim, name=f"fetch(p{page_id})@{self.node_id}")
-        state.fetch_event = fetch_done
-        spawn(
-            self.sim,
-            self._fetch(page_id, fetch_done),
-            name=f"fetch[{self.node_id}]",
-            group=f"node{self.node_id}",
-        )
-        return fetch_done
-
-    def _fetch(self, page_id: int, done: Event) -> Generator:
-        """The fault handler: gather diffs until the page is valid."""
-        self.host.faults += 1
-        costs = self.node.costs
+    def _make_valid(self, page_id: int, for_write: bool, done: Event) -> Generator:
+        """Gather diffs until the page is valid."""
         tr = self.sim.trace
         pf = self.sim.profile
-        fault_started = self.sim.now
-        if pf.enabled:
-            pf.entity_add("page", page_id, "faults")
-        fault_id = f"n{self.node_id}:f{self.host.faults}"
-        if tr.enabled:
-            tr.async_begin(
-                self.sim.now, "protocol", "page_fault", self.node_id, fault_id, page=page_id
-            )
-        yield from self.node.occupy(costs.fault_handler, Category.DSM)
         state = self.coherence(page_id)
         consumed_cache = False
         guard = 0
@@ -523,27 +613,7 @@ class LrcBackend(CoherenceBackend):
             yield from self.apply_stored_diffs(page_id, batch)
             for writer, covers in covers_updates.items():
                 state.note_diffs_applied(writer, covers)
-        yield from self.node.occupy(costs.page_validate, Category.DSM)
-        if self.prefetch is not None:
-            if consumed_cache and not getattr(done, "needed_remote", False):
-                self.prefetch.count_hit(page_id)
-            self.prefetch.on_page_validated(page_id)
-        if tr.enabled:
-            tr.async_end(
-                self.sim.now,
-                "protocol",
-                "page_fault",
-                self.node_id,
-                fault_id,
-                remote=bool(getattr(done, "needed_remote", False)),
-            )
-        if pf.enabled:
-            service = self.sim.now - fault_started
-            pf.observe(self.node_id, "page_fault_us", service)
-            pf.entity_add("page", page_id, "stall_us", service)
-            if getattr(done, "needed_remote", False):
-                pf.entity_add("page", page_id, "remote_faults")
-        done.succeed(None)
+        return consumed_cache and not getattr(done, "needed_remote", False)
 
     def apply_stored_diffs(self, page_id: int, stored: list[StoredDiff]) -> Generator:
         """Apply incoming diffs in happened-before (lamport) order."""
@@ -688,7 +758,7 @@ class LrcBackend(CoherenceBackend):
         return notices
 
     def handle_diff_request(self, msg: Message) -> Generator:
-        self.host.diff_requests_served += 1
+        self.diff_requests_served += 1
         if self.sim.profile_on:
             pf = self.sim.profile
             pf.entity_add("page", msg.payload["page_id"], "diffs_served")
@@ -770,14 +840,10 @@ class LrcBackend(CoherenceBackend):
 
     # -- checkpoint / recovery ------------------------------------------------
 
-    def snapshot_state(self) -> dict:
-        """Deep-copy the backend's LRC state at a consistent cut.
-
-        Taken at a barrier cut (all threads cluster-wide blocked at the
-        barrier), so no fetch, flush, or diff request can be in flight;
-        the pending-request and flush-event maps are therefore not part
-        of the snapshot and are simply cleared on restore.
-        """
+    def _snapshot_protocol(self) -> dict:
+        """Deep-copy the LRC state; the pending-request and flush-event
+        maps are not part of it (nothing is in flight at a cut) and are
+        simply cleared on restore."""
         return {
             "vc": self.vc.snapshot(),
             "intervals": self.intervals.snapshot_state(),
@@ -790,7 +856,7 @@ class LrcBackend(CoherenceBackend):
             "next_request_id": self._next_request_id,
         }
 
-    def restore_state(self, snap: dict) -> None:
+    def _restore_protocol(self, snap: dict) -> None:
         self.vc.restore(snap["vc"])
         self.intervals.restore_state(snap["intervals"])
         self.wn_log.restore_state(snap["wn_log"])
@@ -818,9 +884,8 @@ class LrcBackend(CoherenceBackend):
         page = np.zeros(runtime.config.page_size, dtype=np.uint8)
         deltas: list[StoredDiff] = []
         for dsm in runtime.dsm_nodes:
-            backend = dsm.backend
-            deltas.extend(backend.diff_store.diffs_after(page_id, 0))
-            coherence = backend._coherence.get(page_id)
+            deltas.extend(dsm.diff_store.diffs_after(page_id, 0))
+            coherence = dsm._coherence.get(page_id)
             if coherence is not None and coherence.dirty and coherence.twin is not None:
                 virtual = make_diff(
                     page_id, coherence.twin, dsm.node.pages.page(page_id)
@@ -828,8 +893,8 @@ class LrcBackend(CoherenceBackend):
                 deltas.append(
                     StoredDiff(
                         proc=dsm.node_id,
-                        covers_through=backend.vc[dsm.node_id] + 1,
-                        lamport=backend.intervals.lamport + 1,
+                        covers_through=dsm.vc[dsm.node_id] + 1,
+                        lamport=dsm.intervals.lamport + 1,
                         diff=virtual,
                     )
                 )

@@ -49,8 +49,8 @@ from typing import Generator, Optional
 
 import numpy as np
 
-from repro.dsm.backend import CoherenceBackend
 from repro.dsm.interval import DiffStore, IntervalManager
+from repro.dsm.protocol import DsmNode
 from repro.dsm.vclock import VectorClock
 from repro.dsm.writenotice import WriteNoticeLog
 from repro.errors import ProtocolError
@@ -66,15 +66,18 @@ SHARED = "shared"
 EXCLUSIVE = "exclusive"
 
 
+def _satisfies(mode: str, for_write: bool) -> bool:
+    """Whether a page held in ``mode`` serves the access with no fault."""
+    return mode == EXCLUSIVE or (not for_write and mode != INVALID)
+
+
 class _ScPage:
     """Requester-side per-page state."""
 
-    __slots__ = ("mode", "fetch_event", "data_event", "data_installed", "pins", "unpin_event")
+    __slots__ = ("mode", "data_event", "data_installed", "pins", "unpin_event")
 
     def __init__(self) -> None:
         self.mode = SHARED
-        #: Shared fault-completion event (request combining).
-        self.fetch_event: Optional[Event] = None
         #: Arrival event for an expected SC_DATA (one per transaction).
         self.data_event: Optional[Event] = None
         #: Whether the current transaction's data has been installed.
@@ -101,14 +104,15 @@ class _Directory:
         self.ack_event: Optional[Event] = None
 
 
-class ScBackend(CoherenceBackend):
+class ScBackend(DsmNode):
     """Directory-based single-writer invalidate protocol."""
 
     name = "sc"
     supports_diff_prefetch = False
+    counts_write_faults = True
 
-    def __init__(self, host) -> None:
-        super().__init__(host)
+    def __init__(self, node, num_nodes: int) -> None:
+        super().__init__(node, num_nodes)
         # Inert LRC-shaped state: the lock/barrier subsystems piggyback
         # vector-clock snapshots and write-notice sets on their messages
         # for every protocol.  Under SC the clock never advances and the
@@ -207,50 +211,18 @@ class ScBackend(CoherenceBackend):
                 )
             yield state.unpin_event
 
-    def ensure_valid(self, page_id: int, for_write: bool = False) -> Optional[Event]:
-        state = self._page(page_id)
-        satisfied = state.mode == EXCLUSIVE or (not for_write and state.mode != INVALID)
-        if satisfied:
-            return None
-        if state.fetch_event is not None and not state.fetch_event.triggered:
-            # Request combining.  A concurrent read fault may complete
-            # with SHARED while a writer needs EXCLUSIVE: the waiter
-            # re-checks on wake and re-issues (scheduler guard loop).
-            return state.fetch_event
-        done = Event(self.sim, name=f"scfetch(p{page_id})@{self.node_id}")
-        state.fetch_event = done
-        mode = "write" if for_write else "read"
-        spawn(
-            self.sim,
-            self._acquire(page_id, mode, done),
-            name=f"scfetch[{self.node_id}]",
-            group=f"node{self.node_id}",
-        )
-        return done
+    def _page_ready(self, page_id: int, for_write: bool) -> bool:
+        return _satisfies(self._page(page_id).mode, for_write)
 
     # -- requester side ----------------------------------------------------
 
-    def _acquire(self, page_id: int, mode: str, done: Event) -> Generator:
-        """The fault handler: one ownership transaction per iteration."""
-        self.host.faults += 1
-        costs = self.node.costs
+    def _make_valid(self, page_id: int, for_write: bool, done: Event) -> Generator:
+        """One ownership transaction per iteration."""
         tr = self.sim.trace
-        pf = self.sim.profile
-        fault_started = self.sim.now
-        if pf.enabled:
-            pf.entity_add("page", page_id, "faults")
-            if mode == "write":
-                pf.entity_add("page", page_id, "write_faults")
-        fault_id = f"n{self.node_id}:f{self.host.faults}"
-        if tr.enabled:
-            tr.async_begin(
-                self.sim.now, "protocol", "page_fault", self.node_id, fault_id, page=page_id
-            )
-        yield from self.node.occupy(costs.fault_handler, Category.DSM)
+        mode = "write" if for_write else "read"
         state = self._page(page_id)
-        needed_remote = False
         guard = 0
-        while not (state.mode == EXCLUSIVE or (mode == "read" and state.mode != INVALID)):
+        while not _satisfies(state.mode, for_write):
             guard += 1
             if guard > 64:
                 raise ProtocolError(f"sc acquire of page {page_id} cannot converge")
@@ -276,7 +248,10 @@ class ScBackend(CoherenceBackend):
                 # this very process must consume.
                 self._admit(page_id, self.node_id, mode, grant)
             else:
-                needed_remote = True
+                # Table-1 accounting: the scheduler classifies the stall
+                # as a remote miss (vs a locally-satisfied fault) off
+                # this flag.
+                done.needed_remote = True  # type: ignore[attr-defined]
                 out = Message(
                     src=self.node_id,
                     dst=manager,
@@ -330,29 +305,7 @@ class ScBackend(CoherenceBackend):
             # Hold the page until the faulting store lands — released
             # by op_write_touch (see _unpinned for why this must exist).
             state.pins += 1
-        yield from self.node.occupy(costs.page_validate, Category.DSM)
-        if self.prefetch is not None:
-            self.prefetch.on_page_validated(page_id)
-        if tr.enabled:
-            tr.async_end(
-                self.sim.now,
-                "protocol",
-                "page_fault",
-                self.node_id,
-                fault_id,
-                remote=needed_remote,
-            )
-        if pf.enabled:
-            service = self.sim.now - fault_started
-            pf.observe(self.node_id, "page_fault_us", service)
-            pf.entity_add("page", page_id, "stall_us", service)
-            if needed_remote:
-                pf.entity_add("page", page_id, "remote_faults")
-        if needed_remote:
-            # Table-1 accounting: the scheduler classifies the stall as
-            # a remote miss (vs a locally-satisfied fault) off this flag.
-            done.needed_remote = True  # type: ignore[attr-defined]
-        done.succeed(None)
+        return False
 
     def _await_data(self, state: _ScPage) -> Generator:
         event = state.data_event
@@ -634,7 +587,7 @@ class ScBackend(CoherenceBackend):
 
     # -- checkpoint / recovery ---------------------------------------------
 
-    def snapshot_state(self) -> dict:
+    def _snapshot_protocol(self) -> dict:
         """Deep-copy SC state at a barrier cut.
 
         All threads are blocked at the barrier, so no transaction is
@@ -664,7 +617,7 @@ class ScBackend(CoherenceBackend):
             "next_request_id": self._next_request_id,
         }
 
-    def restore_state(self, snap: dict) -> None:
+    def _restore_protocol(self, snap: dict) -> None:
         self.vc.restore(snap["vc"])
         self._pages = {}
         for pid, mode in snap["page_modes"].items():
@@ -690,6 +643,6 @@ class ScBackend(CoherenceBackend):
     def global_page(self, runtime, page_id: int) -> np.ndarray:
         """The owner's copy is authoritative under single-writer."""
         manager = runtime.dsm_nodes[self.manager_of(page_id)]
-        entry = manager.backend._directory.get(page_id)
+        entry = manager._directory.get(page_id)
         owner = entry.owner if entry is not None else self.manager_of(page_id)
         return runtime.dsm_nodes[owner].node.pages.page(page_id).copy()

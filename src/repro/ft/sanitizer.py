@@ -340,7 +340,7 @@ class ProtocolSanitizer:
     def on_sc_restore(self, node_id: int, invalid_pages) -> None:
         """Rebuild the copy mirror from one node's restored page modes.
 
-        Called by each node's backend restore after :meth:`on_rollback`
+        Called by each SC node's protocol restore after :meth:`on_rollback`
         cleared the mirror.  Only *invalid* pages are reported: a page
         can lose a node's copy only through an invalidation, which
         materializes that node's page record — so any page a node does

@@ -18,16 +18,12 @@ if TYPE_CHECKING:
 
 __all__ = ["RunReport"]
 
-#: Bumped whenever the serialized layout changes incompatibly.
-#: v2 added the optional ``profile`` section (repro.profile); v3 the
-#: optional ``critpath`` section (repro.critpath); v4 the optional
-#: ``transport_health`` section (adaptive transport) and the
-#: paced/shed event counters; v5 the optional ``telemetry`` section
-#: (repro.telemetry) and the transport_health ``extremes`` watermarks.
-#: Older payloads are still readable (the sections are simply absent
-#: and the counters default to zero).
+#: Bumped whenever the serialized layout changes incompatibly.  v6
+#: added the ``protocol`` field (``RunConfig.protocol``).  This build
+#: reads the current schema plus one back: a v5 payload loads as an
+#: ``lrc`` run.
 _SCHEMA_VERSION = 6
-_COMPAT_VERSIONS = (1, 2, 3, 4, 5, 6)
+_COMPAT_VERSIONS = (5, 6)
 
 
 @dataclass
@@ -172,7 +168,7 @@ class RunReport:
             )
         breakdowns = [TimeBreakdown.from_dict(times) for times in data["node_breakdowns"]]
         prefetch_stats = None
-        if data.get("prefetch_stats") is not None:
+        if data["prefetch_stats"] is not None:
             from repro.prefetch.engine import PrefetchStats
 
             prefetch_stats = PrefetchStats(**data["prefetch_stats"])
@@ -188,19 +184,15 @@ class RunReport:
             total_kbytes=data["total_kbytes"],
             message_drops=data["message_drops"],
             prefetch_stats=prefetch_stats,
-            retransmissions=data.get("retransmissions", 0),
-            injected_faults={
-                str(k): int(v) for k, v in data.get("injected_faults", {}).items()
-            },
-            traffic_by_kind={
-                str(k): dict(v) for k, v in data.get("traffic_by_kind", {}).items()
-            },
-            extra=dict(data.get("extra", {})),
-            profile=data.get("profile"),  # absent in v1 payloads
-            critpath=data.get("critpath"),  # absent in v1/v2 payloads
-            transport_health=data.get("transport_health"),  # v4+
-            telemetry=data.get("telemetry"),  # v5+
-            protocol=data.get("protocol", "lrc"),  # v6+
+            retransmissions=data["retransmissions"],
+            injected_faults={str(k): int(v) for k, v in data["injected_faults"].items()},
+            traffic_by_kind={str(k): dict(v) for k, v in data["traffic_by_kind"].items()},
+            extra=dict(data["extra"]),
+            profile=data["profile"],
+            critpath=data["critpath"],
+            transport_health=data["transport_health"],
+            telemetry=data["telemetry"],
+            protocol=data.get("protocol", "lrc"),  # absent in v5 payloads
         )
 
     @classmethod

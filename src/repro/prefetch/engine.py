@@ -151,7 +151,7 @@ class PrefetchEngine:
     def _prefetch_page(self, page_id: int) -> Generator:
         self.stats.issued += 1
         costs = self.dsm.node.costs
-        if not self.dsm.backend.supports_diff_prefetch:
+        if not self.dsm.supports_diff_prefetch:
             # Page-mode prefetch (hlrc/sc): those protocols have no diff
             # traffic to cache, so the only latency to hide is the whole
             # fetch — start the protocol's own demand fetch *now* and
@@ -175,7 +175,8 @@ class PrefetchEngine:
         state = self.dsm.coherence(page_id)
         record = self._records.get(page_id)
         already_working = (
-            state.fetch_in_flight or (record is not None and record.outstanding > 0)
+            self.dsm.fault_in_flight(page_id)
+            or (record is not None and record.outstanding > 0)
         )
         if state.valid or already_working:
             # Paper footnote 4: the unnecessary prefetch costs a lookup,

@@ -1,18 +1,18 @@
-"""The pluggable coherence backends: selection, protocol-specific
-wire behaviour, the inert-LRC-state contract of the SC backend, and
-answer equivalence — every program must compute the same result on
-every protocol."""
+"""The pluggable coherence backends: selection, the shared fault
+envelope, protocol-specific wire behaviour, the inert-LRC-state
+contract of the SC backend, and answer equivalence — every program
+must compute the same result on every protocol."""
 
-import numpy as np
 import pytest
 
 from repro.api.runtime import DsmRuntime, RunConfig
 from repro.apps import make_app
-from repro.dsm.backend import BACKEND_NAMES, CoherenceBackend
+from repro.dsm.backend import BACKEND_NAMES
 from repro.dsm.hlrc import HlrcBackend
-from repro.dsm.protocol import LrcBackend
+from repro.dsm.protocol import DsmNode, LrcBackend
 from repro.dsm.sc import ScBackend
 from repro.errors import ConfigError
+from repro.sim import spawn
 
 from tests.integration.test_smoke import LockedCounter, ProducerConsumer
 
@@ -43,8 +43,8 @@ def test_unknown_protocol_is_a_config_error():
 def test_config_selects_the_named_backend(protocol):
     runtime, report = run(ProducerConsumer(), protocol)
     for dsm in runtime.dsm_nodes:
-        assert type(dsm.backend) is BACKEND_CLASSES[protocol]
-        assert dsm.backend.name == protocol
+        assert type(dsm) is BACKEND_CLASSES[protocol]
+        assert dsm.name == protocol
     assert report.protocol == protocol
 
 
@@ -52,7 +52,51 @@ def test_only_lrc_speaks_the_diff_prefetch_protocol():
     assert LrcBackend.supports_diff_prefetch is True
     assert HlrcBackend.supports_diff_prefetch is False
     assert ScBackend.supports_diff_prefetch is False
-    assert CoherenceBackend.supports_diff_prefetch is False
+    assert DsmNode.supports_diff_prefetch is False
+
+
+# -- the shared fault envelope -----------------------------------------------
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_concurrent_faults_on_one_page_share_one_fault(protocol):
+    """Request combining: two threads faulting on the same page get the
+    same fault event, and the node handles exactly one fault."""
+    runtime = DsmRuntime(RunConfig(num_nodes=2, protocol=protocol))
+    sim = runtime.cluster.sim
+    writer, reader = runtime.dsm_nodes
+    page = 0
+    # A store under SC needs exclusive ownership, which the reader's
+    # shared replica lacks; under the LRC family the reader must first
+    # learn of the writer's interval, as a lock hand-off would carry.
+    for_write = protocol == "sc"
+    if not for_write:
+
+        def publish():
+            yield from writer.op_write_touch(page)
+            writer.node.pages.page(page)[0] = 7
+            yield from writer.close_interval_charged()
+            yield from reader.apply_notices_charged(
+                writer.wn_log.unseen_by(reader.vc.snapshot())
+            )
+
+        spawn(sim, publish())
+        sim.run()
+    faults_before = reader.faults
+    first = reader.ensure_valid(page, for_write)
+    second = reader.ensure_valid(page, for_write)
+    assert first is not None
+    assert second is first
+    assert reader.fault_in_flight(page)
+    sim.run()
+    assert first.triggered
+    assert not reader.fault_in_flight(page)
+    assert reader.faults == faults_before + 1
+    assert reader.ensure_valid(page, for_write) is None
+    if for_write:
+        assert reader.page_writable(page)
+    else:
+        assert reader.node.pages.page(page)[0] == 7
 
 
 # -- answer equivalence ------------------------------------------------------
@@ -141,7 +185,6 @@ def test_sc_lrc_machinery_stays_inert():
     shared lock/barrier code needs no per-protocol branches."""
     runtime, report = run(make_app("SOR", "small"), "sc", sanitizer=True)
     for dsm in runtime.dsm_nodes:
-        backend = dsm.backend
-        assert backend.vc.snapshot() == (0,) * 4
-        assert backend.diff_store.total_flushes == 0
-        assert backend.diff_store.pages() == []
+        assert dsm.vc.snapshot() == (0,) * 4
+        assert dsm.diff_store.total_flushes == 0
+        assert dsm.diff_store.pages() == []

@@ -58,14 +58,3 @@ def test_diff_store_latest_coverage():
     assert store.latest_coverage(0) == 0
     store.add(stored(0, covers=2, lamport=1))
     assert store.latest_coverage(0) == 2
-
-
-def test_diff_store_garbage_collection():
-    store = DiffStore()
-    store.add(stored(0, covers=1, lamport=1))
-    store.add(stored(0, covers=5, lamport=2))
-    bytes_before = store.total_diff_bytes
-    reclaimed = store.garbage_collect_before(0, 1)
-    assert reclaimed > 0
-    assert store.total_diff_bytes == bytes_before - reclaimed
-    assert len(store.diffs_after(0, 0)) == 1

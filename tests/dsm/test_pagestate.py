@@ -47,15 +47,3 @@ def test_applied_never_regresses():
     state.note_diffs_applied(1, 5)
     state.note_diffs_applied(1, 3)
     assert state.applied_upto[1] == 5
-
-
-def test_fetch_in_flight_tracking():
-    from repro.sim import Simulator, Event
-
-    sim = Simulator()
-    state = PageCoherence(0, 2)
-    assert not state.fetch_in_flight
-    state.fetch_event = Event(sim)
-    assert state.fetch_in_flight
-    state.fetch_event.succeed(None)
-    assert not state.fetch_in_flight

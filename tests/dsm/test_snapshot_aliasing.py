@@ -1,13 +1,14 @@
-"""The deep-copy promise of ``CoherenceBackend.snapshot_state``.
+"""The deep-copy promise of ``DsmNode.snapshot_state``.
 
 A checkpoint snapshot must share no mutable structure with live
-protocol state: after the cut the node keeps mutating pages, clocks
-and directories for a whole barrier epoch before the snapshot is ever
-needed, and a single aliased array silently corrupts the recovery
-line.  Driven against every backend, twice over:
+protocol state: after the cut the node keeps mutating pages, clocks,
+directories, locks and barriers for a whole barrier epoch before the
+snapshot is ever needed, and a single aliased array silently corrupts
+the recovery line.  Driven against every protocol, twice over:
 
-- directly — trash every mutable leaf of a returned snapshot and
-  prove the live state (and a second snapshot) saw nothing;
+- directly — trash every mutable leaf of a node's whole snapshot (the
+  protocol's part plus the shared locks, barriers and pages) and prove
+  the live state (and a second snapshot) saw nothing;
 - end to end — crash a node mid-epoch so recovery restores a snapshot
   taken a full epoch earlier, and require the run to verify and to be
   byte-identical across repeats.
@@ -64,13 +65,18 @@ def trash(obj):
         obj.extend(b"!")
 
 
-def run_once(protocol, plan=None, seed=11):
+def run_once(protocol, plan=None, seed=11, app="SOR"):
     config = RunConfig(
         num_nodes=NODES, seed=seed, protocol=protocol, fault_plan=plan, sanitizer=True
     )
     runtime = DsmRuntime(config)
-    report = runtime.execute(make_app("SOR", "small"))
+    report = runtime.execute(make_app(app, "small"))
     return runtime, report
+
+
+# WATER-SP takes locks as well as barriers, so every shared part of a
+# node's snapshot holds live state.
+LOCKING_APP = "WATER-SP"
 
 
 # -- direct: no shared mutable structure -------------------------------------
@@ -78,23 +84,26 @@ def run_once(protocol, plan=None, seed=11):
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_trashing_a_snapshot_cannot_touch_live_state(protocol):
-    runtime, _ = run_once(protocol)
+    runtime, _ = run_once(protocol, app=LOCKING_APP)
     for dsm in runtime.dsm_nodes:
-        victim = dsm.backend.snapshot_state()
-        reference = canonical(dsm.backend.snapshot_state())
+        victim = dsm.snapshot_state()
+        reference = canonical(dsm.snapshot_state())
         trash(victim)
-        assert canonical(dsm.backend.snapshot_state()) == reference
+        assert canonical(dsm.snapshot_state()) == reference
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_restore_round_trips(protocol):
-    runtime, _ = run_once(protocol)
+    runtime, _ = run_once(protocol, app=LOCKING_APP)
     for dsm in runtime.dsm_nodes:
-        snap = dsm.backend.snapshot_state()
+        snap = dsm.snapshot_state()
         reference = canonical(snap)
         assert "vc" in snap  # the FT manager reports rollback clocks
-        dsm.backend.restore_state(snap)
-        assert canonical(dsm.backend.snapshot_state()) == reference
+        assert snap["protocol"] == protocol
+        for shared in ("locks", "barriers", "pages"):
+            assert snap[shared], shared
+        dsm.restore_state(snap)
+        assert canonical(dsm.snapshot_state()) == reference
 
 
 # -- end to end: a barrier epoch of mutation between cut and restore ---------
