@@ -54,6 +54,9 @@ class Node:
         self.breakdown = TimeBreakdown()
         self.events = EventCounters()
         self.cpu = Resource(sim, capacity=1, name=f"cpu[{node_id}]")
+        # Spawn labels for the per-message processes, formatted once.
+        self._handler_name = f"handler[{node_id}]"
+        self._group = f"node{node_id}"
         #: Set by the scheduler: multithreaded nodes pay an extra signal
         #: cost per asynchronous message arrival.
         self.mt_mode = False
@@ -94,7 +97,9 @@ class Node:
         """
         if duration <= 0:
             return
-        yield self.cpu.acquire(priority)
+        cpu = self.cpu
+        if not cpu.try_acquire():  # idle CPU: granted with no event
+            yield cpu.acquire(priority)
         try:
             started = self.sim.now
             yield self.sim.timeout(duration)
@@ -145,7 +150,7 @@ class Node:
                 self.sim,
                 self._discard_corrupt(message),
                 name=f"checksum[{self.node_id}]",
-                group=f"node{self.node_id}",
+                group=self._group,
             )
             return
         if self.message_observer is not None:
@@ -153,8 +158,8 @@ class Node:
         spawn(
             self.sim,
             self._handle(message),
-            name=f"handler[{self.node_id}]",
-            group=f"node{self.node_id}",
+            name=self._handler_name,
+            group=self._group,
         )
 
     def _discard_corrupt(self, message: Message) -> Generator[Event, Any, None]:

@@ -5,16 +5,21 @@ queue FIFO behind the transmitter.  The queue is finite in *bytes*; when
 it is full, unreliable messages are dropped (the ATM switch has no
 retransmission — TreadMarks' reliable channel retransmits above it, so
 reliable messages are modelled as never lost, only delayed).
+
+The transmitter is closed form rather than a kernel process: each
+message costs two heap entries (departure after serialization, then
+delivery after propagation) and no :class:`~repro.sim.Event` objects.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from collections import deque
+from typing import Callable
 
 from repro.errors import NetworkError
 from repro.network.message import Message
-from repro.sim import Simulator, Store, spawn
+from repro.sim import Simulator
 
 __all__ = ["LinkConfig", "Link"]
 
@@ -64,7 +69,14 @@ class LinkConfig:
 
 
 class Link:
-    """One simplex link: FIFO queue + transmitter + propagation delay."""
+    """One simplex link: FIFO queue + transmitter + propagation delay.
+
+    The transmitter is a closed-form FIFO server over one queue of
+    ``(message, wire bytes)``, head on the wire: a send to an idle link
+    schedules the departure one serialization time ahead, and each
+    departure schedules the delivery and then the next departure, in
+    that order.
+    """
 
     def __init__(
         self,
@@ -77,15 +89,14 @@ class Link:
         self.config = config
         self.sink = sink
         self.name = name
-        self._queue: Store = Store(sim, name=f"linkq({name})")
+        #: ``(message, wire bytes)`` in FIFO order; the head is on the wire.
+        self._queue: deque[tuple[Message, int]] = deque()
         self._queued_bytes = 0
-        self._transmitting = False
         # Statistics.
         self.messages_sent = 0
         self.messages_dropped = 0
         self.bytes_sent = 0
         self.busy_time = 0.0
-        spawn(sim, self._transmitter(), name=f"link({name})", daemon=True)
 
     @property
     def queued_bytes(self) -> int:
@@ -105,21 +116,28 @@ class Link:
         their delay simply grows — modelling the retransmitting
         transport that TreadMarks layers over UDP.
         """
-        wire = self.config.wire_bytes(message.size_bytes)
-        if not message.reliable and self._queued_bytes + wire > self.config.queue_capacity_bytes:
+        config = self.config
+        wire = config.wire_bytes(message.size_bytes)
+        if not message.reliable and self._queued_bytes + wire > config.queue_capacity_bytes:
             self.messages_dropped += 1
             return False
         self._queued_bytes += wire
-        self._queue.put(message)
+        queue = self._queue
+        queue.append((message, wire))
+        if len(queue) == 1:  # the link was idle
+            # Mbps == bits per microsecond.
+            self.sim.schedule(wire * 8 / config.bandwidth_mbps, self._done)
         return True
 
-    def _transmitter(self):
-        while True:
-            message: Message = yield self._queue.get()
-            serialization = self.config.serialization_us(message.size_bytes)
-            yield self.sim.timeout(serialization)
-            self.busy_time += serialization
-            self._queued_bytes -= self.config.wire_bytes(message.size_bytes)
-            self.messages_sent += 1
-            self.bytes_sent += self.config.wire_bytes(message.size_bytes)
-            self.sim.schedule(self.config.propagation_us, self.sink, message)
+    def _done(self) -> None:
+        """The head message has left the wire: account it, start the next one."""
+        config = self.config
+        queue = self._queue
+        message, wire = queue.popleft()
+        self.busy_time += wire * 8 / config.bandwidth_mbps
+        self._queued_bytes -= wire
+        self.messages_sent += 1
+        self.bytes_sent += wire
+        self.sim.schedule(config.propagation_us, self.sink, message)
+        if queue:
+            self.sim.schedule(queue[0][1] * 8 / config.bandwidth_mbps, self._done)

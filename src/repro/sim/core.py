@@ -23,7 +23,14 @@ cannot buy back —
   ``triggered`` is a plain attribute rather than a property;
 - the run's tracer/sanitizer/profiler hang off the simulator behind
   cached ``trace_on``/``sanitizer_on``/``profile_on`` booleans, so a
-  disabled instrument costs one attribute read per hook site.
+  disabled instrument costs one attribute read per hook site;
+- a process that yields an already-triggered event continues in the
+  same frame (:meth:`~repro.sim.process.Process._resume`), and an idle
+  CPU is granted with no event at all (``Resource.try_acquire``);
+- work whose timing is known in closed form is scheduled directly
+  rather than run as a process: a network link is a FIFO backlog plus
+  one departure entry per message (:mod:`repro.network.link`), not a
+  daemon process waiting on a queue and a ``Timeout``.
 """
 
 from __future__ import annotations
@@ -47,11 +54,11 @@ class Event:
     callbacks added afterwards run immediately.
     """
 
-    # Slot layout: the first five are the event machinery; the last four
+    # Slot layout: the first six are the event machinery; the last three
     # are *stash* slots — instrumentation state that other layers pin on
-    # events crossing process boundaries (resource wait start, profiler
-    # span start, remote-miss classification).  They are left unset
-    # until first assignment; readers use ``getattr(event, ..., default)``.
+    # events crossing process boundaries (profiler span start,
+    # remote-miss classification).  They are left unset until first
+    # assignment; readers use ``getattr(event, ..., default)``.
     __slots__ = (
         "sim",
         "name",
@@ -59,7 +66,6 @@ class Event:
         "_value",
         "_exception",
         "_callbacks",
-        "_requested_at",
         "profile_t0",
         "needed_remote",
         "miss_counted",

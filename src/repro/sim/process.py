@@ -57,9 +57,10 @@ class Process(Event):
         #: Cancellation group (e.g. ``node3`` for everything a crash of
         #: node 3 must silence); empty string means ungrouped.
         self.group = group
-        #: Daemon processes (infinite service loops, e.g. link
-        #: transmitters) are expected to outlive the workload and do not
-        #: count as deadlocked when the event heap drains.
+        #: Daemon processes (infinite service loops, e.g. the failure
+        #: detector's heartbeat and watch loops) are expected to outlive
+        #: the workload and do not count as deadlocked when the event
+        #: heap drains.
         self.daemon = daemon
         self._handle = sim._register_process(self)
         # Start on the next scheduler tick so the creator finishes its
@@ -85,33 +86,42 @@ class Process(Event):
         super()._dispatch()
 
     def _resume(self, value: Any, exception: BaseException | None) -> None:
-        if self.triggered or self._cancelled:
-            return
-        try:
-            if exception is not None:
-                target = self._generator.throw(exception)
-            else:
-                target = self._generator.send(value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as exc:
-            # Propagate to waiters; a fire-and-forget process (nobody
-            # waiting) must not die silently — crash the simulation.
-            if self._callbacks:
-                self.fail(exc)
+        generator = self._generator
+        # Trampoline: a yielded event that has already triggered is fed
+        # straight back in this frame, so a chain of them (an uncontended
+        # resource grant, a finished child process) costs neither a
+        # callback registration nor a level of recursion.
+        while not (self.triggered or self._cancelled):
+            try:
+                if exception is not None:
+                    target = generator.throw(exception)
+                else:
+                    target = generator.send(value)
+            except StopIteration as stop:
+                self.succeed(stop.value)
                 return
-            self.sim._unregister_process(self._handle)
-            raise
-        if not isinstance(target, Event):
-            self.fail(
-                SimulationError(
-                    f"process {self.name!r} yielded {target!r}; processes must yield Event objects"
+            except BaseException as exc:
+                # Propagate to waiters; a fire-and-forget process (nobody
+                # waiting) must not die silently — crash the simulation.
+                if self._callbacks:
+                    self.fail(exc)
+                    return
+                self.sim._unregister_process(self._handle)
+                raise
+            if not isinstance(target, Event):
+                self.fail(
+                    SimulationError(
+                        f"process {self.name!r} yielded {target!r}; processes must yield Event objects"
+                    )
                 )
-            )
-            return
-        self._waiting_on = target
-        target.add_callback(self._on_event)
+                return
+            if not target.triggered:
+                self._waiting_on = target
+                target._callbacks.append(self._on_event)
+                return
+            self._waiting_on = None
+            exception = target._exception
+            value = target._value if exception is None else None
 
     def _on_event(self, event: Event) -> None:
         self._waiting_on = None

@@ -1,32 +1,28 @@
 """Queueing resources for the simulation kernel.
 
-Two primitives cover everything the library needs:
-
-- :class:`Resource` — a counted resource with a FIFO (optionally
-  priority-ordered) wait queue; models a CPU, a link, a NIC.
-- :class:`Store` — an unbounded FIFO of items with blocking ``get``;
-  models a message queue.
+:class:`Resource` is a counted resource with a FIFO (optionally
+priority-ordered) wait queue; it models a CPU.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
-from typing import Any, Generator, Optional
 
 from repro.errors import SimulationError
 from repro.sim.core import Event, Simulator
 
-__all__ = ["Resource", "Store"]
+__all__ = ["Resource"]
 
 
 class Resource:
     """A counted resource with a priority wait queue.
 
-    ``acquire`` returns an :class:`Event` that succeeds when a unit is
-    granted; the holder must call ``release`` exactly once per grant.
-    Lower ``priority`` values are served first; ties are FIFO.
+    ``try_acquire`` takes a unit at once when one is free and nobody is
+    queued; otherwise ``acquire`` returns an :class:`Event` that succeeds
+    when a unit is granted.  The holder must call ``release`` exactly
+    once per grant.  Lower ``priority`` values are served first; ties
+    are FIFO.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = "") -> None:
@@ -39,19 +35,26 @@ class Resource:
         self._in_use = 0
         self._queue: list[tuple[int, int, Event]] = []
         self._sequence = itertools.count()
-        # Occupancy statistics.
-        self.total_wait_time = 0.0
-        self.total_grants = 0
 
     @property
     def in_use(self) -> int:
         return self._in_use
 
+    def try_acquire(self) -> bool:
+        """Take a free unit now, without an event; False if the caller must queue.
+
+        A unit counts as free only when nobody is queued, so a
+        ``try_acquire`` never overtakes a waiter.
+        """
+        if self._in_use < self.capacity and not self._queue:
+            self._in_use += 1
+            return True
+        return False
+
     def acquire(self, priority: int = 0) -> Event:
         event = Event(self.sim, name=self._acquire_name)
-        event._requested_at = self.sim.now  # type: ignore[attr-defined]
-        if self._in_use < self.capacity and not self._queue:
-            self._grant(event)
+        if self.try_acquire():
+            event.succeed(self)
         else:
             heapq.heappush(self._queue, (priority, next(self._sequence), event))
         return event
@@ -62,57 +65,5 @@ class Resource:
         self._in_use -= 1
         if self._queue and self._in_use < self.capacity:
             _prio, _seq, event = heapq.heappop(self._queue)
-            self._grant(event)
-
-    def _grant(self, event: Event) -> None:
-        self._in_use += 1
-        self.total_grants += 1
-        self.total_wait_time += self.sim.now - event._requested_at  # type: ignore[attr-defined]
-        event.succeed(self)
-
-    def use(self, duration: float, priority: int = 0) -> Generator[Event, Any, None]:
-        """Generator helper: hold the resource for ``duration``.
-
-        Usage inside a process: ``yield from resource.use(10.0)``.
-        """
-        yield self.acquire(priority)
-        try:
-            yield self.sim.timeout(duration)
-        finally:
-            self.release()
-
-
-class Store:
-    """Unbounded FIFO of items with blocking ``get``.
-
-    ``put`` never blocks.  ``get`` returns an Event that succeeds with
-    the oldest item; waiters are served in FIFO order.
-    """
-
-    def __init__(self, sim: Simulator, name: str = "") -> None:
-        self.sim = sim
-        self.name = name
-        self._get_name = f"get({name})"
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        event = Event(self.sim, name=self._get_name)
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-    def peek_all(self) -> list[Any]:
-        """Snapshot of queued items (for inspection/tests)."""
-        return list(self._items)
+            self._in_use += 1
+            event.succeed(self)

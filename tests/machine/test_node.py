@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.machine import Cluster, CostModel
+from repro.machine.node import HANDLER_PRIORITY, THREAD_PRIORITY
 from repro.metrics.counters import Category
 from repro.network import Message, MessageKind
 from repro.sim import spawn
@@ -52,6 +53,46 @@ def test_occupy_serializes_on_one_cpu():
     spawn(cluster.sim, work("b"))
     cluster.run()
     assert finish_times == [50.0, 100.0]
+
+
+def test_contended_and_idle_occupy_charge_the_same_breakdown():
+    """A grant on an idle CPU (no event) and a queued grant charge alike."""
+
+    def run(stagger):
+        cluster = Cluster(num_nodes=2)
+        node = cluster.node(0)
+
+        def work(delay, duration, category):
+            yield cluster.sim.timeout(delay)
+            yield from node.occupy(duration, category)
+
+        spawn(cluster.sim, work(0.0, 100.0, Category.BUSY))
+        spawn(cluster.sim, work(stagger, 30.0, Category.DSM))
+        cluster.run()
+        return node.breakdown, cluster.sim.now
+
+    idle, idle_end = run(stagger=200.0)  # second charge finds the CPU free
+    contended, contended_end = run(stagger=10.0)  # ... or queues for it
+    assert idle.times == contended.times
+    assert idle.charged_cpu == contended.charged_cpu == 130.0
+    assert (idle_end, contended_end) == (230.0, 130.0)
+
+
+def test_queued_handler_runs_before_queued_threads():
+    cluster = Cluster(num_nodes=2)
+    node = cluster.node(0)
+    order = []
+
+    def work(tag, delay, priority):
+        yield cluster.sim.timeout(delay)
+        yield from node.occupy(10.0, Category.DSM, priority=priority)
+        order.append((tag, cluster.sim.now))
+
+    spawn(cluster.sim, work("holder", 0.0, THREAD_PRIORITY))
+    spawn(cluster.sim, work("thread", 1.0, THREAD_PRIORITY))
+    spawn(cluster.sim, work("handler", 2.0, HANDLER_PRIORITY))
+    cluster.run()
+    assert order == [("holder", 10.0), ("handler", 20.0), ("thread", 30.0)]
 
 
 def test_zero_duration_occupy_is_free():

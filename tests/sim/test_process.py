@@ -175,3 +175,75 @@ def test_processes_start_lazily_on_next_tick():
     assert started == []  # not started synchronously
     sim.run()
     assert started == [0.0]
+
+
+# -- already-triggered yields -------------------------------------------------
+
+
+def test_yielding_a_succeeded_event_continues_with_its_value():
+    sim = Simulator()
+    got = []
+
+    def body():
+        ready = sim.event().succeed("now")
+        got.append((yield ready))
+        got.append(sim.now)
+
+    proc = spawn(sim, body())
+    sim.run()
+    assert got == ["now", 0.0]
+    assert proc.ok
+
+
+def test_yielding_a_failed_event_raises_at_the_yield():
+    sim = Simulator()
+    caught = []
+
+    def body():
+        failed = sim.event().fail(ValueError("early"))
+        try:
+            yield failed
+        except ValueError as exc:
+            caught.append(str(exc))
+        return "recovered"
+
+    proc = spawn(sim, body())
+    sim.run()
+    assert caught == ["early"]
+    assert proc.value == "recovered"
+
+
+def test_long_chain_of_triggered_yields_needs_no_recursion_or_events():
+    sim = Simulator()
+    steps = 5_000
+
+    def body():
+        total = 0
+        for i in range(steps):
+            total += yield sim.event().succeed(i)
+        return total
+
+    proc = spawn(sim, body())
+    sim.run()
+    assert proc.value == sum(range(steps))
+    # The process start is the only scheduled callback.
+    assert sim.events_handled == 1
+
+
+def test_cancel_from_inside_a_triggered_chain_stops_the_process():
+    sim = Simulator()
+    reached = []
+    proc = None
+
+    def body():
+        for i in range(10):
+            reached.append(i)
+            if i == 3:
+                proc.cancel()
+            yield sim.event().succeed(i)
+
+    proc = spawn(sim, body())
+    sim.run()
+    # The yield after the cancel is the last step taken.
+    assert reached == [0, 1, 2, 3]
+    assert proc.cancelled and not proc.triggered

@@ -1,9 +1,9 @@
-"""Unit tests for Resource and Store."""
+"""Unit tests for Resource."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Resource, Simulator, Store, spawn
+from repro.sim import Resource, Simulator, spawn
 
 
 def test_resource_grants_immediately_when_free():
@@ -45,7 +45,9 @@ def test_resource_capacity_allows_parallel_holders():
     done = []
 
     def worker(tag):
-        yield from res.use(10.0)
+        yield res.acquire()
+        yield sim.timeout(10.0)
+        res.release()
         done.append((tag, sim.now))
 
     for tag in ("a", "b", "c"):
@@ -91,74 +93,25 @@ def test_resource_zero_capacity_rejected():
         Resource(sim, capacity=0)
 
 
-def test_resource_wait_statistics():
+def test_try_acquire_takes_a_free_unit_without_an_event():
+    sim = Simulator()
+    res = Resource(sim, capacity=2)
+    assert res.try_acquire()
+    assert res.try_acquire()
+    assert res.in_use == 2
+    assert not res.try_acquire()  # full
+    res.release()
+    assert res.try_acquire()
+    assert sim.events_handled == 0 and not sim._heap and not sim._nowq
+
+
+def test_release_hands_the_unit_to_a_queued_waiter_before_try_acquire():
     sim = Simulator()
     res = Resource(sim, capacity=1)
-
-    def worker():
-        yield from res.use(4.0)
-
-    spawn(sim, worker())
-    spawn(sim, worker())
-    sim.run()
-    assert res.total_grants == 2
-    assert res.total_wait_time == pytest.approx(4.0)
-
-
-def test_store_put_then_get():
-    sim = Simulator()
-    store = Store(sim)
-    store.put("x")
-    got = store.get()
-    assert got.triggered and got.value == "x"
-    assert len(store) == 0
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-    received = []
-
-    def consumer():
-        item = yield store.get()
-        received.append((item, sim.now))
-
-    def producer():
-        yield sim.timeout(6.0)
-        store.put("late")
-
-    spawn(sim, consumer())
-    spawn(sim, producer())
-    sim.run()
-    assert received == [("late", 6.0)]
-
-
-def test_store_fifo_order_for_items_and_getters():
-    sim = Simulator()
-    store = Store(sim)
-    store.put(1)
-    store.put(2)
-    assert store.get().value == 1
-    assert store.get().value == 2
-
-    results = []
-
-    def consumer(tag):
-        item = yield store.get()
-        results.append((tag, item))
-
-    spawn(sim, consumer("first"))
-    spawn(sim, consumer("second"))
-    sim.schedule(1.0, store.put, "a")
-    sim.schedule(2.0, store.put, "b")
-    sim.run()
-    assert results == [("first", "a"), ("second", "b")]
-
-
-def test_store_peek_all_is_a_snapshot():
-    sim = Simulator()
-    store = Store(sim)
-    store.put(1)
-    snapshot = store.peek_all()
-    snapshot.append(2)
-    assert store.peek_all() == [1]
+    assert res.try_acquire()
+    grant = res.acquire()
+    assert not grant.triggered
+    res.release()
+    assert grant.triggered  # handed over inside release()
+    assert not res.try_acquire()
+    assert res.in_use == 1
