@@ -39,6 +39,10 @@ class PageCoherence:
     #: the watermark — enforcing happened-before-1 ordering regardless
     #: of how fetch batches interleave.
     byte_lamports: Optional[np.ndarray] = None
+    #: Writers with ``needed_upto > applied_upto``, kept by the two
+    #: ``note_*`` methods (the only writers of those lists) so that
+    #: :attr:`valid`, read on every access check, is O(1).
+    stale: int = field(default=0, init=False)
 
     def lamport_watermarks(self, page_size: int) -> np.ndarray:
         if self.byte_lamports is None:
@@ -50,10 +54,14 @@ class PageCoherence:
             self.applied_upto = [0] * self.num_nodes
         if not self.needed_upto:
             self.needed_upto = [0] * self.num_nodes
+        self._recount()
+
+    def _recount(self) -> None:
+        self.stale = sum(n > a for a, n in zip(self.applied_upto, self.needed_upto))
 
     @property
     def valid(self) -> bool:
-        return all(a >= n for a, n in zip(self.applied_upto, self.needed_upto))
+        return self.stale == 0
 
     def stale_writers(self) -> list[int]:
         """Writers whose modifications are still missing locally."""
@@ -65,14 +73,24 @@ class PageCoherence:
 
     def note_write_notice(self, proc: int, interval_idx: int) -> bool:
         """Record an invalidation; returns True if the page became stale."""
-        was_valid = self.valid
-        if interval_idx > self.needed_upto[proc]:
-            self.needed_upto[proc] = interval_idx
-        return was_valid and not self.valid
+        needed = self.needed_upto[proc]
+        if interval_idx <= needed:
+            return False
+        self.needed_upto[proc] = interval_idx
+        applied = self.applied_upto[proc]
+        if needed > applied or interval_idx <= applied:
+            return False  # writer already stale, or still covered
+        self.stale += 1
+        return self.stale == 1
 
     def note_diffs_applied(self, proc: int, covers_through: int) -> None:
-        if covers_through > self.applied_upto[proc]:
-            self.applied_upto[proc] = covers_through
+        applied = self.applied_upto[proc]
+        if covers_through <= applied:
+            return
+        self.applied_upto[proc] = covers_through
+        needed = self.needed_upto[proc]
+        if needed > applied and covers_through >= needed:
+            self.stale -= 1
 
     # -- checkpoint / recovery -------------------------------------------
 
@@ -92,6 +110,7 @@ class PageCoherence:
         state = cls(page_id, num_nodes)
         state.applied_upto = list(snap["applied_upto"])
         state.needed_upto = list(snap["needed_upto"])
+        state._recount()
         state.dirty = snap["dirty"]
         state.twin = None if snap["twin"] is None else snap["twin"].copy()
         state.write_protected = snap["write_protected"]

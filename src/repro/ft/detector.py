@@ -177,7 +177,7 @@ class FailureDetector:
         """One node's heartbeat sender (cancelled when the node crashes)."""
         network = self.ft.cluster.network
         while self.ft.active:
-            yield self.sim.timeout(self.config.heartbeat_period_us)
+            yield float(self.config.heartbeat_period_us)
             if not self.ft.active:
                 return
             self.heartbeats_sent += 1
@@ -194,7 +194,7 @@ class FailureDetector:
     def watch_loop(self):
         """The coordinator's suspicion clock (never cancelled)."""
         while self.ft.active:
-            yield self.sim.timeout(self.config.heartbeat_period_us)
+            yield float(self.config.heartbeat_period_us)
             if not self.ft.active:
                 return
             yield from self.ft.membership_tick(self._collect_dead())

@@ -426,7 +426,7 @@ class FtManager:
         if max_cost > 0:
             # Every node writes its snapshot in parallel; the barrier
             # release waits for the slowest writer.
-            yield self.sim.timeout(max_cost)
+            yield float(max_cost)
 
     def _build_checkpoint(
         self, kind: str, barrier_id: int, episode: int, node_vcs: list
@@ -493,7 +493,7 @@ class FtManager:
                     latency_us=t_detect - self._crash_time.get(node_id, t_detect),
                 )
         # Reboot + rejoin of the crashed machines.
-        yield sim.timeout(self.config.restart_delay_us)
+        yield float(self.config.restart_delay_us)
         t_rollback = sim.now
         if tr.enabled:
             tr.instant(
@@ -520,7 +520,7 @@ class FtManager:
                 tr.slice(t_rollback, cost, "cpu", Category.RECOVERY.value, node_ckpt.node_id)
             max_cost = max(max_cost, cost)
         if max_cost > 0:
-            yield sim.timeout(max_cost)
+            yield float(max_cost)
         # Detection state: everyone just restarted, all silence excused.
         self._spawn_heartbeats()
         self.detector.reset_liveness()

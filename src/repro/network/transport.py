@@ -388,6 +388,8 @@ class ReliableTransport:
         else:
             self._random = rng
             self._shared_rng = None
+        #: destination -> its named jitter stream, looked up once per peer.
+        self._jitter_rngs: dict[int, np.random.Generator] = {}
         self._adaptive = config.adaptive
         self._next_seq: dict[int, int] = {}  # destination -> next seq
         self._pending: dict[tuple[int, int], _Pending] = {}  # (dst, seq) -> state
@@ -535,7 +537,12 @@ class ReliableTransport:
     def _jitter_rng(self, dst: int) -> np.random.Generator:
         if self._random is None:
             return self._shared_rng
-        return self._random.stream(f"transport[{self.node.node_id}->{dst}]")
+        rng = self._jitter_rngs.get(dst)
+        if rng is None:
+            rng = self._jitter_rngs[dst] = self._random.stream(
+                f"transport[{self.node.node_id}->{dst}]"
+            )
+        return rng
 
     def _timeout_us(self, dst: int, attempts: int) -> float:
         if self._adaptive:

@@ -35,7 +35,7 @@ __all__ = ["trend_table", "render_trend", "main"]
 
 def _label(path: str, doc: dict) -> str:
     # The filename stamp wins: several points can share a ``created``
-    # date (BENCH_2026-08-07, -07b, -07c) but filenames are unique.
+    # date (BENCH_2026-08-07, -07e) but filenames are unique.
     name = os.path.basename(path)
     if name.startswith("BENCH_"):
         return name[len("BENCH_") :].removesuffix(".json")

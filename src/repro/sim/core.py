@@ -27,6 +27,11 @@ cannot buy back —
 - a process that yields an already-triggered event continues in the
   same frame (:meth:`~repro.sim.process.Process._resume`), and an idle
   CPU is granted with no event at all (``Resource.try_acquire``);
+- a process that yields a bare ``float`` (a *delay*: every CPU charge
+  and fixed sleep) is resumed by one heap entry that calls its
+  ``_resume`` directly, so no :class:`Timeout` event, callback list or
+  dispatch hop is paid per charge; :class:`Timeout` remains for waits
+  that must compose (``AnyOf``);
 - work whose timing is known in closed form is scheduled directly
   rather than run as a process: a network link is a FIFO backlog plus
   one departure entry per message (:mod:`repro.network.link`), not a

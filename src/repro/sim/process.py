@@ -6,10 +6,16 @@ event triggers.  Processes are themselves events, succeeding with the
 generator's return value, so they compose (a process can wait on another
 process, or on ``AllOf`` over several).
 
+A process may also yield a bare ``float``: a *delay*.  It resumes, with
+value ``None``, that many microseconds later.  A delay is one heap entry
+that calls the process back directly — no ``Event``, no callback — so
+it is how CPU charges (``Node.occupy``) and fixed sleeps wait.  Use
+``sim.timeout`` only where a composable event is needed (``AnyOf``).
+
 Example::
 
     def worker(sim):
-        yield sim.timeout(5)
+        yield 5.0
         result = yield sim.timeout(3, value="done")
         return result
 
@@ -34,7 +40,7 @@ from repro.sim.core import Event, Simulator
 
 __all__ = ["Process", "spawn"]
 
-ProcessGenerator = Generator[Event, Any, Any]
+ProcessGenerator = Generator[Event | float, Any, Any]
 
 
 class Process(Event):
@@ -52,7 +58,8 @@ class Process(Event):
     ) -> None:
         super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
         self._generator = generator
-        self._waiting_on: Event | None = None
+        #: The pending ``Event`` or delay (a float), for diagnostics.
+        self._waiting_on: Event | float | None = None
         self._cancelled = False
         #: Cancellation group (e.g. ``node3`` for everything a crash of
         #: node 3 must silence); empty string means ungrouped.
@@ -68,18 +75,17 @@ class Process(Event):
         sim.schedule(0.0, self._resume, None, None)
 
     @property
-    def is_alive(self) -> bool:
-        return not self.triggered and not self._cancelled
-
-    @property
     def cancelled(self) -> bool:
         return self._cancelled
 
     def waiting_on_name(self) -> str:
         """Human-readable description of what blocks this process."""
-        if self._waiting_on is None:
+        waiting = self._waiting_on
+        if waiting is None:
             return "<scheduler tick>"
-        return self._waiting_on.name or type(self._waiting_on).__name__
+        if isinstance(waiting, float):
+            return f"delay({waiting}us)"
+        return waiting.name or type(waiting).__name__
 
     def _dispatch(self) -> None:
         self.sim._unregister_process(self._handle)
@@ -108,10 +114,23 @@ class Process(Event):
                     return
                 self.sim._unregister_process(self._handle)
                 raise
+            if isinstance(target, float):
+                # A delay: one heap entry resumes this frame directly.
+                # ``float()`` keeps an ``np.float64`` delay exact while
+                # keeping ``sim.now`` a Python float.
+                delay = float(target)
+                if delay < 0:
+                    exception = SimulationError(f"negative delay: {delay}")
+                    value = None
+                    continue
+                self._waiting_on = delay
+                self.sim.schedule(delay, self._resume, None, None)
+                return
             if not isinstance(target, Event):
                 self.fail(
                     SimulationError(
-                        f"process {self.name!r} yielded {target!r}; processes must yield Event objects"
+                        f"process {self.name!r} yielded {target!r}; processes must yield"
+                        " Event objects or float delays"
                     )
                 )
                 return

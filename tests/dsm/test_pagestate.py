@@ -1,5 +1,8 @@
 """Unit tests for per-page coherence metadata."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.dsm import PageCoherence
 
 
@@ -47,3 +50,38 @@ def test_applied_never_regresses():
     state.note_diffs_applied(1, 5)
     state.note_diffs_applied(1, 3)
     assert state.applied_upto[1] == 5
+
+
+def _valid_by_definition(state):
+    return all(a >= n for a, n in zip(state.applied_upto, state.needed_upto))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.lists(
+        st.tuples(
+            st.booleans(),
+            st.integers(min_value=0, max_value=4),
+            st.integers(min_value=0, max_value=8),
+        ),
+        max_size=40,
+    ),
+)
+def test_property_stale_count_matches_definition(num_nodes, ops):
+    """``valid`` is an O(1) count; it must agree with the per-writer scan
+    after every notice/apply step and across a snapshot round trip."""
+    state = PageCoherence(0, num_nodes)
+    for is_notice, proc, interval in ops:
+        proc %= num_nodes
+        was_valid = state.valid
+        if is_notice:
+            became_stale = state.note_write_notice(proc, interval)
+            assert became_stale == (was_valid and not _valid_by_definition(state))
+        else:
+            state.note_diffs_applied(proc, interval)
+        assert state.valid == _valid_by_definition(state)
+        assert state.stale == len(state.stale_writers())
+    restored = PageCoherence.from_snapshot(0, num_nodes, state.snapshot_state())
+    assert restored.valid == _valid_by_definition(state)
+    assert restored.stale == state.stale

@@ -1,5 +1,6 @@
 """Unit tests for generator-based processes."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -151,18 +152,6 @@ def test_interrupt_finished_process_rejected():
         proc.interrupt()
 
 
-def test_is_alive_tracks_lifecycle():
-    sim = Simulator()
-
-    def body():
-        yield sim.timeout(3.0)
-
-    proc = spawn(sim, body())
-    assert proc.is_alive
-    sim.run()
-    assert not proc.is_alive
-
-
 def test_processes_start_lazily_on_next_tick():
     sim = Simulator()
     started = []
@@ -247,3 +236,130 @@ def test_cancel_from_inside_a_triggered_chain_stops_the_process():
     # The yield after the cancel is the last step taken.
     assert reached == [0, 1, 2, 3]
     assert proc.cancelled and not proc.triggered
+
+
+# -- delays (bare float yields) ------------------------------------------------
+
+
+def test_float_yield_resumes_after_the_delay_with_none():
+    sim = Simulator()
+    got = []
+
+    def body():
+        got.append((yield 2.5))
+        got.append(sim.now)
+        got.append((yield 0.0))
+        got.append(sim.now)
+
+    proc = spawn(sim, body())
+    sim.run()
+    assert got == [None, 2.5, None, 2.5]
+    assert proc.ok
+    # Start + two delays: one scheduled callback each, no Timeout event.
+    assert sim.events_handled == 3
+
+
+def test_delay_and_timeout_from_the_same_point_keep_creation_order():
+    """A delay takes its heap sequence number where a ``Timeout`` would:
+    a later-created equal-time entry still runs later, either way round."""
+    for delay_first in (True, False):
+        sim = Simulator()
+        order = []
+
+        def by_delay():
+            yield 5.0
+            order.append("delay")
+
+        def by_timeout():
+            yield sim.timeout(5.0)
+            order.append("timeout")
+
+        first, second = (by_delay, by_timeout) if delay_first else (by_timeout, by_delay)
+        spawn(sim, first())
+        spawn(sim, second())
+        sim.run()
+        assert order == (["delay", "timeout"] if delay_first else ["timeout", "delay"])
+        assert sim.now == 5.0
+
+
+def test_numpy_float_delay_keeps_sim_time_a_python_float():
+    sim = Simulator()
+    stamps = []
+
+    def body():
+        yield np.float64(0.1)
+        yield np.float64(0.2)
+        stamps.append(sim.now)
+
+    spawn(sim, body())
+    sim.run()
+    assert stamps == [0.1 + 0.2]
+    assert type(sim.now) is float
+
+
+def test_process_cancelled_during_a_delay_never_resumes():
+    sim = Simulator()
+    reached = []
+
+    def body():
+        reached.append("start")
+        yield 10.0
+        reached.append("resumed")
+
+    proc = spawn(sim, body())
+    sim.schedule(4.0, proc.cancel)
+    sim.run()
+    assert reached == ["start"]
+    assert proc.cancelled and not proc.triggered
+    # The pending wake-up still ran, as a no-op.
+    assert sim.now == 10.0
+
+
+def test_negative_delay_raises_at_the_yield():
+    sim = Simulator()
+    caught = []
+
+    def body():
+        try:
+            yield -1.0
+        except SimulationError as exc:
+            caught.append(str(exc))
+        return "recovered"
+
+    proc = spawn(sim, body())
+    sim.run()
+    assert caught and "negative delay" in caught[0]
+    assert proc.value == "recovered"
+
+
+def test_yielding_a_non_numeric_value_fails_the_process():
+    sim = Simulator()
+
+    def body():
+        yield "soon"  # type: ignore[misc]
+
+    proc = spawn(sim, body())
+    sim.run()
+    with pytest.raises(SimulationError, match="float delays"):
+        _ = proc.value
+
+
+def test_deadlock_report_names_a_pending_delay():
+    sim = Simulator()
+
+    def sleeper():
+        yield 30.0
+
+    def waiter():
+        yield sim.event("never")
+
+    spawn(sim, sleeper(), name="sleeper")
+    spawn(sim, waiter(), name="waiter")
+    sim.run(until=1.0)
+    # Lose the sleeper's wake-up entry: both processes are now stuck.
+    sim._heap.clear()
+    with pytest.raises(SimulationError, match="deadlock") as excinfo:
+        sim.run()
+    message = str(excinfo.value)
+    assert "'sleeper' waiting on delay(30.0us)" in message
+    assert "'waiter' waiting on never" in message
